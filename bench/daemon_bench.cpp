@@ -40,8 +40,8 @@ double msSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-// Was 2.0 when the cold start ran the scalar pipeline. With blockSpecs=64
-// the default cold start is itself ~3x faster and the block path skips the
+// Was 2.0 when the cold start ran the scalar per-candidate pipeline. The
+// block pipeline made the cold start itself ~3x faster, and it skips the
 // tile-mapping memo entirely (snapshots carry 0 mappings), so the restore's
 // remaining win is the eval cache + candidate lists: measured 1.70x
 // (cold ~740 ms, restored ~435 ms) on the reference container.

@@ -1,19 +1,14 @@
-// Perf-regression harness for the three hot paths (the perf trajectory
-// anchor for this repo):
+// Perf-regression harness for two hot paths:
 //
-//   1. Design-space enumeration: enumerateDesignSpace on the GEMM algebra,
-//      maxEntry=2 — legacy decode-all-and-filter (the seed implementation,
-//      EnumerationOptions::useLegacyEnumeration) vs the direct-canonical
-//      engine, cold (first call, cache empty) and warm (memoized).
-//   2. RTL simulation: node-evals/sec on the fig5a GEMM accelerator netlist
+//   1. RTL simulation: node-evals/sec on the fig5a GEMM accelerator netlist
 //      (MNK-SST on 16x16 PEs) — legacy interpreter vs compiled tape, with a
 //      running output checksum proving bit-identical behavior.
-//   3. Tile-trace construction: functional dataflow simulation with trace
+//   2. Tile-trace construction: functional dataflow simulation with trace
 //      memoization off (rebuild per tile per outer iteration, the seed
 //      behavior) vs on (TileTraceCache).
 //
-// Emits BENCH_hotpaths.json. Gates (full mode only): enumeration cold
-// speedup >= 5x, RTL speedup >= 2x; exit status 1 if a gate fails.
+// Emits BENCH_hotpaths.json. Gate (full mode only): RTL speedup >= 2x;
+// exit status 1 if it fails.
 //
 // Usage: bench_perf_regression [--smoke] [--out <path>]
 //   --smoke   small sizes, correctness asserts only, no timing gates (CI)
@@ -39,47 +34,6 @@ using Clock = std::chrono::steady_clock;
 
 double msSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
-
-struct EnumReport {
-  std::size_t specs = 0;
-  double seedMs = 0, fastColdMs = 0, fastWarmMs = 0;
-  double speedupCold() const { return seedMs / fastColdMs; }
-  double speedupWarm() const { return seedMs / fastWarmMs; }
-};
-
-EnumReport benchEnumeration(int maxEntry) {
-  const auto g = tensor::workloads::gemm(16, 16, 16);
-  stt::EnumerationOptions seed;
-  seed.maxEntry = maxEntry;
-  seed.useLegacyEnumeration = true;
-  seed.cacheCandidates = false;
-  seed.parallelAnalyze = false;
-  stt::EnumerationOptions fast;
-  fast.maxEntry = maxEntry;
-
-  EnumReport r;
-  auto t = Clock::now();
-  const auto seedSpecs = stt::enumerateDesignSpace(g, seed);
-  r.seedMs = msSince(t);
-
-  t = Clock::now();
-  const auto fastSpecs = stt::enumerateDesignSpace(g, fast);
-  r.fastColdMs = msSince(t);
-
-  t = Clock::now();
-  const auto warmSpecs = stt::enumerateDesignSpace(g, fast);
-  r.fastWarmMs = msSince(t);
-
-  TL_CHECK(seedSpecs.size() == fastSpecs.size() &&
-               fastSpecs.size() == warmSpecs.size(),
-           "enumeration engines disagree on design-space size");
-  for (std::size_t i = 0; i < seedSpecs.size(); ++i)
-    TL_CHECK(seedSpecs[i].label() == fastSpecs[i].label() &&
-                 seedSpecs[i].signature() == fastSpecs[i].signature(),
-             "enumeration engines disagree at spec " + std::to_string(i));
-  r.specs = fastSpecs.size();
-  return r;
 }
 
 struct RtlReport {
@@ -169,22 +123,13 @@ TraceReport benchTileTrace(std::int64_t dim, std::int64_t rows) {
   return r;
 }
 
-void writeJson(const std::string& path, bool smoke, const EnumReport& e,
-               const RtlReport& rtl, const TraceReport& tr, bool enumPass,
-               bool rtlPass) {
+void writeJson(const std::string& path, bool smoke, const RtlReport& rtl,
+               const TraceReport& tr, bool rtlPass) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   TL_CHECK(f != nullptr, "cannot write " + path);
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"bench\": \"hotpaths\",\n");
   std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
-  std::fprintf(f,
-               "  \"enumeration\": {\"workload\": \"gemm16\", \"max_entry\": "
-               "%d, \"specs\": %zu, \"seed_ms\": %.2f, \"fast_cold_ms\": "
-               "%.2f, \"fast_warm_ms\": %.3f, \"speedup_cold\": %.2f, "
-               "\"speedup_warm\": %.1f, \"gate_min_speedup\": 5.0, \"pass\": "
-               "%s},\n",
-               smoke ? 1 : 2, e.specs, e.seedMs, e.fastColdMs, e.fastWarmMs,
-               e.speedupCold(), e.speedupWarm(), enumPass ? "true" : "false");
   std::fprintf(f,
                "  \"rtl\": {\"netlist\": \"fig5a_gemm_mnk_sst\", \"nodes\": "
                "%zu, \"cycles\": %lld, \"legacy_evals_per_sec\": %.0f, "
@@ -228,13 +173,6 @@ int runBench(bool smoke, const std::string& out) {
   bench::printHeader(smoke ? "Hot-path perf regression (smoke)"
                            : "Hot-path perf regression");
 
-  const EnumReport e = benchEnumeration(smoke ? 1 : 2);
-  std::printf(
-      "  enumeration  seed %.1f ms | fast cold %.1f ms (%.1fx) | warm %.3f ms "
-      "(%.0fx)  [%zu specs]\n",
-      e.seedMs, e.fastColdMs, e.speedupCold(), e.fastWarmMs, e.speedupWarm(),
-      e.specs);
-
   const RtlReport rtl = smoke ? benchRtl(4, 4, 256) : benchRtl(16, 16, 2000);
   std::printf(
       "  rtl sim      legacy %.0f evals/s | compiled %.0f evals/s (%.2fx)  "
@@ -250,15 +188,11 @@ int runBench(bool smoke, const std::string& out) {
 
   // Timing gates only in full mode: smoke runs (CI shared runners) assert
   // correctness above but never fail on wall-clock.
-  const bool enumPass = smoke || e.speedupCold() >= 5.0;
   const bool rtlPass = smoke || rtl.speedup() >= 2.0;
-  writeJson(out, smoke, e, rtl, tr, enumPass, rtlPass);
+  writeJson(out, smoke, rtl, tr, rtlPass);
   std::printf("  wrote %s\n", out.c_str());
 
-  if (!enumPass)
-    std::printf("  GATE FAIL: enumeration cold speedup %.2f < 5.0\n",
-                e.speedupCold());
   if (!rtlPass)
     std::printf("  GATE FAIL: rtl speedup %.2f < 2.0\n", rtl.speedup());
-  return enumPass && rtlPass ? 0 : 1;
+  return rtlPass ? 0 : 1;
 }

@@ -1,8 +1,8 @@
-// The shared 10-query overlapping exploration scenario gated by both the
-// "service" (batched-vs-naive) and "pruning" (pruned-vs-exhaustive)
-// sections of BENCH_hotpaths.json — one definition so the two gates can
-// never drift onto different traffic. Also the result comparator both
-// benches use to assert bit-identical frontiers.
+// The shared 10-query overlapping exploration scenario behind the "service"
+// (batched-vs-naive) and "daemon" (restored-vs-cold) sections of
+// BENCH_hotpaths.json — one definition so the gates can never drift onto
+// different traffic. Also the result comparator the benches use to assert
+// bit-identical frontiers.
 #pragma once
 
 #include <string>

@@ -22,8 +22,7 @@ namespace {
 
 // ---- canonical cache keys --------------------------------------------------
 // Two queries share cached work iff their keys match, so keys must capture
-// everything the cached value depends on — and nothing more (perf knobs like
-// useLegacyEnumeration produce byte-identical output and are excluded).
+// everything the cached value depends on — and nothing more.
 
 std::string algebraKey(const tensor::TensorAlgebra& a) {
   std::ostringstream os;
@@ -91,6 +90,44 @@ ParetoEntry paretoEntryOf(const sim::PerfResult& perf,
   return e;
 }
 
+using Clock = std::chrono::steady_clock;
+
+/// Candidates per evaluation block of a list query, and per packed window
+/// of a bound-first query. A block never spans a work unit.
+constexpr std::size_t kBlockSpecs = 64;
+
+/// One query's wall-clock budget, measured from batch entry and shared by
+/// all of its work units.
+struct Deadline {
+  Clock::time_point at{};
+  bool armed = false;
+  std::atomic<bool> timedOut{false};
+
+  /// True once the budget is spent; latches, so every unit agrees.
+  bool expired() {
+    if (!armed) return false;
+    if (timedOut.load(std::memory_order_relaxed)) return true;
+    if (Clock::now() < at) return false;
+    timedOut.store(true, std::memory_order_relaxed);
+    return true;
+  }
+};
+
+/// A bound-first query's search inputs, one entry per loop selection.
+struct BoundFirstQueryData {
+  std::vector<stt::SpecContextPtr> contexts;
+  std::vector<stt::SelectionGeometry> geometries;
+  std::vector<std::string> selKeyPrefixes;  ///< "0.1.2.|" per selection
+};
+
+/// What one work unit accumulates; merged per query in unit order.
+struct UnitOut {
+  ParetoFrontier frontier;
+  std::unordered_map<std::size_t, DesignReport> kept;  ///< order -> report
+  std::uint64_t hits = 0, misses = 0, pruned = 0, skipped = 0;
+  std::uint64_t designs = 0;  ///< bound-first only: candidates handled
+};
+
 }  // namespace
 
 std::string CacheStats::str() const {
@@ -124,17 +161,39 @@ struct ExplorationService::Impl {
     std::uint64_t hits = 0, misses = 0, evictions = 0;
   };
 
-  /// Memoized enumerated design space (shared across queries; in-flight
-  /// holders keep evicted lists alive through the shared_ptr). The packed
-  /// block view and per-spec cache keys are built lazily under their own
-  /// once_flag: only block-path queries pay for them, exactly once per
-  /// list no matter how many queries share it.
+  /// Memoized enumerated design space with its packed view and per-spec
+  /// cache-key suffixes, built once per list no matter how many queries
+  /// share it (in-flight holders keep evicted lists alive through the
+  /// shared_ptr).
   struct SpecListEntry {
     std::once_flag once;
     std::shared_ptr<const std::vector<stt::DataflowSpec>> specs;
-    std::once_flag blockOnce;
     std::shared_ptr<const stt::SpecBlockSet> block;
-    std::shared_ptr<const std::vector<std::string>> specKeys;
+    std::vector<std::string> specKeys;
+  };
+
+  /// One work unit in flight: what runBlock() reads and accumulates. The
+  /// scratch vectors are reused across blocks, so the passes allocate
+  /// nothing per candidate.
+  struct UnitRun {
+    UnitRun(const ExploreQuery& q, const cost::CostBackend& b,
+            const std::string& prefix, UnitOut& o)
+        : query(q), backend(b), keyPrefix(prefix), out(o) {}
+
+    const ExploreQuery& query;
+    const cost::CostBackend& backend;
+    const std::string& keyPrefix;  ///< evalPrefix() of the query
+    UnitOut& out;
+    /// Incumbents the query's other units published. Every incumbent is a
+    /// fully evaluated true cost, so pruning against a snapshot of any age
+    /// is sound; only how many candidates get cut varies.
+    ParetoFrontier snapshot;
+    std::string key;
+    std::vector<std::shared_ptr<EvalEntry>> resident;
+    std::vector<std::uint8_t> state;  ///< 0 evaluate, 1 cache hit, 2 pruned
+    std::vector<std::size_t> pending;
+    std::vector<cost::CostBound> bounds;
+    std::vector<std::size_t> evicted;
   };
 
   ServiceOptions options;
@@ -208,6 +267,7 @@ struct ExplorationService::Impl {
     return {entry, false};
   }
 
+  /// Scalar-model evaluation, behind evaluate()/evaluateAll() only.
   const EvalEntry& force(const std::shared_ptr<EvalEntry>& entry,
                          const stt::DataflowSpec& spec,
                          const stt::ArrayConfig& array,
@@ -220,9 +280,10 @@ struct ExplorationService::Impl {
     return *entry;
   }
 
-  /// Block-path force: the packed evaluation produces the same values as
-  /// force() for the same spec (the equivalence contract), so whichever
-  /// path wins an entry's once_flag, every waiter reads identical results.
+  /// Packed-model evaluation, behind run()/runBatch(). It produces the same
+  /// values as force() for the same spec (the equivalence contract), so
+  /// whichever wins an entry's once_flag, every waiter reads identical
+  /// results.
   const EvalEntry& forceBlock(const std::shared_ptr<EvalEntry>& entry,
                               const stt::SpecBlockSet& set, std::size_t i,
                               const stt::ArrayConfig& array,
@@ -283,31 +344,174 @@ struct ExplorationService::Impl {
     std::call_once(entry->once, [&] {
       entry->specs = std::make_shared<const std::vector<stt::DataflowSpec>>(
           stt::enumerateDesignSpace(q.algebra, q.enumeration));
+      entry->block = stt::packSpecBlocks(entry->specs);
+      entry->specKeys.reserve(entry->specs->size());
+      for (const stt::DataflowSpec& spec : *entry->specs)
+        entry->specKeys.push_back(specKey(spec));
     });
     return entry;
-  }
-
-  std::shared_ptr<const std::vector<stt::DataflowSpec>> specList(
-      const ExploreQuery& q) {
-    return specEntry(q)->specs;
-  }
-
-  /// Builds the packed SoA view and per-spec cache keys of one list (once;
-  /// concurrent callers block until ready).
-  void ensureBlock(SpecListEntry& entry) {
-    std::call_once(entry.blockOnce, [&] {
-      entry.block = stt::packSpecBlocks(entry.specs);
-      auto keys = std::make_shared<std::vector<std::string>>();
-      keys->reserve(entry.specs->size());
-      for (const stt::DataflowSpec& spec : *entry.specs)
-        keys->push_back(specKey(spec));
-      entry.specKeys = std::move(keys);
-    });
   }
 
   std::string evalPrefix(const ExploreQuery& q, const cost::CostBackend& backend) {
     return algebraKey(q.algebra) + "|" + arrayKey(q.array) + "|" +
            backend.cacheKey() + "|";
+  }
+
+  /// The one evaluation routine of run()/runBatch(), shared by list
+  /// queries (blocks of their packed list) and bound-first queries (packed
+  /// windows of search survivors). Three passes over candidates
+  /// [begin, end) of `set`:
+  ///   1. cache peek — resident evaluations are cheaper than bounding, so
+  ///      hits bypass the bound pass;
+  ///   2. one packed lowerBoundBlock over the non-resident candidates, each
+  ///      cut when an incumbent (the snapshot or the unit's own frontier)
+  ///      strictly dominates its bound — all before any tile search;
+  ///   3. forceBlock on the survivors in index order, folded into the
+  ///      unit's streaming frontier. Only frontier keepers pay for a
+  ///      DataflowSpec (`specOf(i)`).
+  /// With pruning off, passes 1 and 2 are skipped and every candidate is
+  /// evaluated. Candidate i's cache key is keyPrefix + keySuffixes[i] and
+  /// its frontier order is orderBase + i.
+  template <typename SpecOf>
+  void runBlock(UnitRun& run, const stt::SpecBlockSet& set, std::size_t begin,
+                std::size_t end, std::size_t orderBase,
+                const std::vector<std::string>& keySuffixes,
+                stt::BlockMappingStore& store, const SpecOf& specOf) {
+    UnitOut& out = run.out;
+    const auto keyOf = [&](std::size_t i) -> const std::string& {
+      run.key.assign(run.keyPrefix);
+      run.key.append(keySuffixes[i]);
+      return run.key;
+    };
+    run.resident.assign(end - begin, nullptr);
+    run.state.assign(end - begin, 0);
+    run.pending.clear();
+    if (options.enablePruning) {
+      for (std::size_t i = begin; i < end; ++i) {
+        std::shared_ptr<EvalEntry> entry = peekEntry(keyOf(i));
+        if (entry)
+          run.state[i - begin] = 1;
+        else
+          run.pending.push_back(i);
+        run.resident[i - begin] = std::move(entry);
+      }
+    }
+    if (!run.pending.empty()) {
+      run.bounds.resize(run.pending.size());
+      run.backend.lowerBoundBlock(set, run.pending.data(), run.pending.size(),
+                                  run.query.array, run.bounds.data());
+      for (std::size_t p = 0; p < run.pending.size(); ++p) {
+        const ParetoCost boundCost{run.bounds[p].cycles,
+                                   run.bounds[p].figures.powerMw,
+                                   run.bounds[p].figures.area, 0.0};
+        if (finiteCost(boundCost) &&
+            (run.snapshot.strictlyDominates(boundCost) ||
+             out.frontier.strictlyDominates(boundCost))) {
+          ++out.pruned;
+          run.state[run.pending[p] - begin] = 2;
+        }
+      }
+    }
+    for (std::size_t i = begin; i < end; ++i) {
+      if (run.state[i - begin] == 2) continue;
+      std::shared_ptr<EvalEntry> entry = std::move(run.resident[i - begin]);
+      bool hit = run.state[i - begin] == 1;
+      if (!entry) std::tie(entry, hit) = evalEntry(keyOf(i));
+      forceBlock(entry, set, i, run.query.array, run.backend, store);
+      (hit ? out.hits : out.misses) += 1;
+      run.evicted.clear();
+      const std::size_t order = orderBase + i;
+      if (out.frontier.insert(paretoEntryOf(entry->perf, entry->cost.figures,
+                                            order, set.labels[i]),
+                              &run.evicted))
+        out.kept.emplace(order, DesignReport(specOf(i), entry->perf, entry->cost));
+      for (std::size_t o : run.evicted) out.kept.erase(o);
+    }
+  }
+
+  /// A bound-first query's single work unit. The branch-and-bound search
+  /// streams survivors into a reusable packed window; each full window runs
+  /// through runBlock(). The unit's own streaming frontier doubles as the
+  /// incumbent the partial-transform cut prices against (one unit per
+  /// query, so there is nothing to snapshot). DataflowSpecs are
+  /// materialized lazily, only for frontier keepers.
+  void runBoundFirst(UnitRun& run, const BoundFirstQueryData& bf,
+                     Deadline& deadline) {
+    UnitOut& out = run.out;
+    stt::SpecBlockSet window;
+    std::vector<linalg::IntMatrix> matrices;  ///< signed, for lazy analyze
+    std::vector<std::string> keySuffixes;
+    std::unordered_map<std::uint64_t, cost::CostBound> boundMemo;
+    std::size_t emitted = 0;  ///< representatives so far: the frontier order
+    for (std::size_t s = 0; s < bf.contexts.size(); ++s) {
+      if (deadline.expired()) break;  // unreached candidates are not designs
+      const stt::SelectionGeometry& geometry = bf.geometries[s];
+      boundMemo.clear();  // the partial bound reads this geometry
+      const auto resetWindow = [&] {
+        stt::resetSpecBlocks(window, geometry);
+        matrices.clear();
+        keySuffixes.clear();
+      };
+      resetWindow();
+      const auto flushWindow = [&] {
+        const std::size_t count = window.count;
+        if (count == 0) return;
+        if (deadline.expired()) {
+          out.skipped += count;  // emitted but never evaluated
+        } else {
+          stt::assignSpecBlockClasses(window);
+          stt::BlockMappingStore store(run.backend.blockSlotCount(window));
+          runBlock(run, window, 0, count, emitted - count, keySuffixes, store,
+                   [&](std::size_t i) {
+                     return stt::analyzeDataflow(
+                         bf.contexts[s], stt::SpaceTimeTransform(matrices[i]));
+                   });
+        }
+        resetWindow();
+      };
+      stt::BoundFirstHooks hooks;
+      if (options.enablePruning)
+        hooks.cut = [&](const stt::PartialTransform& partial) {
+          const std::uint64_t k = partialBoundKey(partial);
+          auto it = boundMemo.find(k);
+          if (it == boundMemo.end())
+            it = boundMemo
+                     .emplace(k, run.backend.lowerBoundPartial(
+                                     partial, run.query.array))
+                     .first;
+          // Memoize only the BOUND: the incumbent frontier grows during
+          // the sweep, so the cut decision is re-taken every time.
+          const ParetoCost boundCost{it->second.cycles,
+                                     it->second.figures.powerMw,
+                                     it->second.figures.area, 0.0};
+          if (finiteCost(boundCost) &&
+              out.frontier.strictlyDominates(boundCost)) {
+            ++out.pruned;
+            ++out.designs;
+            return true;
+          }
+          return false;
+        };
+      hooks.emit = [&](const stt::BoundFirstCandidate& c) {
+        stt::appendSpecBlock(window, geometry, *c.matrix, c.classTag,
+                             c.absDir, c.systolicDt,
+                             geometry.selectionLabel + "-" + c.letters);
+        matrices.push_back(*c.matrix);
+        keySuffixes.push_back(bf.selKeyPrefixes[s] + c.letters + "|" +
+                              c.matrix->str());
+        ++emitted;
+        ++out.designs;
+        if (window.count >= kBlockSpecs) flushWindow();
+      };
+      if (deadline.armed) hooks.shouldStop = [&] { return deadline.expired(); };
+      const stt::BoundFirstStats st = stt::enumerateBoundFirst(
+          bf.contexts[s], geometry, run.query.enumeration, hooks);
+      if (st.stopped) {
+        out.skipped += window.count;
+        break;
+      }
+      flushWindow();
+    }
   }
 };
 
@@ -325,50 +529,42 @@ std::vector<QueryResult> ExplorationService::runBatch(
   std::vector<QueryResult> results(n);
   if (n == 0) return results;
 
-  // Phase 1: resolve each query's backend and (cached) design space. The
-  // block path additionally packs the list into its SoA view (once per
-  // list) and sizes a per-query mapping store (one slot per mapping class
-  // times the backend's operating-point fan-out). Bound-first queries
-  // never materialize a spec list at all — they resolve per-selection
-  // contexts and geometries instead, and the search streams candidates
-  // into packed windows inside their (single) work unit.
-  const bool useBlocks = impl_->options.blockSpecs > 0;
-  struct BoundFirstQueryData {
-    std::vector<stt::SpecContextPtr> contexts;     ///< one per selection
-    std::vector<stt::SelectionGeometry> geometries;
-    std::vector<std::string> selKeyPrefixes;  ///< "0.1.2.|" per selection
+  // Phase 1: resolve each query's backend and cache-key prefix. A list
+  // query also fetches its cached design space (enumerated, packed and
+  // keyed once per list) and sizes a per-query mapping store: one slot per
+  // mapping class times the backend's operating-point fan-out. A
+  // bound-first query never materializes a spec list; it resolves
+  // per-selection contexts and geometries instead.
+  struct QueryPlan {
+    std::shared_ptr<const cost::CostBackend> backend;
+    std::string keyPrefix;
+    std::shared_ptr<Impl::SpecListEntry> list;       ///< list queries
+    std::unique_ptr<stt::BlockMappingStore> store;   ///< list queries
+    std::unique_ptr<BoundFirstQueryData> boundFirst;  ///< bound-first queries
   };
-  std::vector<std::shared_ptr<const cost::CostBackend>> backends(n);
-  std::vector<std::shared_ptr<Impl::SpecListEntry>> listEntries(n);
-  std::vector<std::shared_ptr<const std::vector<stt::DataflowSpec>>> lists(n);
-  std::vector<std::string> prefixes(n);
-  std::vector<std::unique_ptr<stt::BlockMappingStore>> stores(n);
-  std::vector<std::unique_ptr<BoundFirstQueryData>> boundFirst(n);
+  std::vector<QueryPlan> plans(n);
   parallelForOn(impl_->pool, n, [&](std::size_t i) {
-    backends[i] = makeBackend(batch[i]);
-    prefixes[i] = impl_->evalPrefix(batch[i], *backends[i]);
+    QueryPlan& plan = plans[i];
+    plan.backend = makeBackend(batch[i]);
+    plan.keyPrefix = impl_->evalPrefix(batch[i], *plan.backend);
     if (batch[i].enumeration.boundFirst) {
-      auto data = std::make_unique<BoundFirstQueryData>();
+      plan.boundFirst = std::make_unique<BoundFirstQueryData>();
       for (const stt::LoopSelection& sel :
            stt::allLoopSelections(batch[i].algebra)) {
         auto context = stt::makeSpecContext(batch[i].algebra, sel);
-        data->geometries.push_back(stt::makeSelectionGeometry(*context));
+        plan.boundFirst->geometries.push_back(
+            stt::makeSelectionGeometry(*context));
         std::ostringstream os;
         for (std::size_t idx : sel.indices()) os << idx << ".";
         os << "|";
-        data->selKeyPrefixes.push_back(os.str());
-        data->contexts.push_back(std::move(context));
+        plan.boundFirst->selKeyPrefixes.push_back(os.str());
+        plan.boundFirst->contexts.push_back(std::move(context));
       }
-      boundFirst[i] = std::move(data);
       return;
     }
-    listEntries[i] = impl_->specEntry(batch[i]);
-    lists[i] = listEntries[i]->specs;
-    if (useBlocks) {
-      impl_->ensureBlock(*listEntries[i]);
-      stores[i] = std::make_unique<stt::BlockMappingStore>(
-          backends[i]->blockSlotCount(*listEntries[i]->block));
-    }
+    plan.list = impl_->specEntry(batch[i]);
+    plan.store = std::make_unique<stt::BlockMappingStore>(
+        plan.backend->blockSlotCount(*plan.list->block));
   });
 
   // Phase 2: shard every query's space into work units; fan the whole
@@ -381,34 +577,22 @@ std::vector<QueryResult> ExplorationService::runBatch(
   };
   std::vector<Unit> units;
   for (std::size_t i = 0; i < n; ++i) {
-    if (boundFirst[i]) {
+    if (plans[i].boundFirst) {
       units.push_back({i, 0, 0});
       continue;
     }
-    const std::size_t total = lists[i]->size();
+    const std::size_t total = plans[i].list->specs->size();
     for (std::size_t b = 0; b < total; b += impl_->options.workUnitSpecs)
       units.push_back({i, b, std::min(total, b + impl_->options.workUnitSpecs)});
   }
-
-  struct UnitOut {
-    ParetoFrontier frontier;
-    std::unordered_map<std::size_t, DesignReport> kept;  ///< order -> report
-    std::uint64_t hits = 0, misses = 0, pruned = 0, skipped = 0;
-    std::uint64_t designs = 0;  ///< bound-first only: candidates handled
-  };
   std::vector<UnitOut> outs(units.size());
 
   // Per-query deadlines, measured from batch entry. A query whose deadline
-  // expires stops mid-unit; its remaining candidates count as `skipped`
-  // and the result is marked timedOut with the partial frontier.
-  using Clock = std::chrono::steady_clock;
+  // expires stops at the next block boundary; its remaining candidates
+  // count as `skipped` and the result is marked timedOut with the partial
+  // frontier.
   const Clock::time_point started = Clock::now();
-  struct DeadlineState {
-    Clock::time_point at{};
-    bool armed = false;
-    std::atomic<bool> expired{false};
-  };
-  std::vector<DeadlineState> deadlines(n);
+  std::vector<Deadline> deadlines(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (batch[i].deadlineMs <= 0) continue;
     deadlines[i].armed = true;
@@ -416,11 +600,8 @@ std::vector<QueryResult> ExplorationService::runBatch(
   }
 
   // Per-query incumbent frontiers shared across that query's work units:
-  // each completed unit publishes its survivors, each starting unit
-  // snapshots the incumbents it can prune against. Every incumbent is a
-  // fully evaluated true cost, so pruning against a racy snapshot is still
-  // sound — only *how many* candidates get cut varies with scheduling, the
-  // final frontier never does.
+  // each completed unit publishes its survivors, and each block of a
+  // running unit prunes against a fresh snapshot of them.
   struct Incumbent {
     std::mutex mutex;
     ParetoFrontier frontier;
@@ -430,10 +611,8 @@ std::vector<QueryResult> ExplorationService::runBatch(
 
   parallelForOn(impl_->pool, units.size(), [&](std::size_t u) {
     const Unit& unit = units[u];
-    const ExploreQuery& q = batch[unit.query];
-    const cost::CostBackend& backend = *backends[unit.query];
-    UnitOut& out = outs[u];
-    DeadlineState& deadline = deadlines[unit.query];
+    const QueryPlan& plan = plans[unit.query];
+    Deadline& deadline = deadlines[unit.query];
     // Rehearsable failure boundary: the chaos harness arms slow units
     // (deadline/overload drills), thrown units (error responses), and
     // mid-batch process exits (crash-recovery drills) here.
@@ -445,312 +624,35 @@ std::vector<QueryResult> ExplorationService::runBatch(
       else if (fault->action == "exit")
         std::_Exit(static_cast<int>(fault->value));
     }
-    // Incumbent snapshots are refreshed DURING the unit, not only at its
-    // start: every incumbent is a fully evaluated true cost, so any
-    // snapshot age is sound, but a stale one lets late candidates in a
-    // large unit dodge cuts that completed units already justify. The
-    // block path re-snapshots per block; the scalar path every
-    // kScalarSnapshotSpecs candidates.
-    constexpr std::size_t kScalarSnapshotSpecs = 64;
-    ParetoFrontier snapshot;
-    if (prune) {
-      std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
-      snapshot = incumbents[unit.query].frontier;
-    }
-    std::vector<std::size_t> evicted;
-    if (boundFirst[unit.query]) {
-      // Bound-first branch-and-bound: stream the search's survivors into a
-      // reusable packed window, evaluate windows through the block models,
-      // and fold into the unit's own streaming frontier — which doubles as
-      // the incumbent the partial-transform cut prices against (one unit
-      // per query, so there is nothing to snapshot). DataflowSpecs are
-      // materialized lazily, only for frontier keepers.
-      const BoundFirstQueryData& bf = *boundFirst[unit.query];
-      const std::size_t windowSize =
-          impl_->options.blockSpecs > 0 ? impl_->options.blockSpecs : 64;
-      stt::SpecBlockSet window;
-      std::vector<linalg::IntMatrix> matrices;  ///< signed, for lazy analyze
-      std::vector<std::size_t> orders;          ///< running rep order/window
-      std::vector<std::string> keys;
-      std::vector<std::shared_ptr<Impl::EvalEntry>> resident;
-      std::vector<std::uint8_t> state;
-      std::vector<std::size_t> pendingIdx;
-      std::vector<cost::CostBound> bounds;
-      std::unordered_map<std::uint64_t, cost::CostBound> boundMemo;
-      std::size_t repCounter = 0;
-      const auto expired = [&] {
-        if (!deadline.armed) return false;
-        if (deadline.expired.load(std::memory_order_relaxed)) return true;
-        if (Clock::now() >= deadline.at) {
-          deadline.expired.store(true, std::memory_order_relaxed);
-          return true;
-        }
-        return false;
-      };
-      for (std::size_t s = 0; s < bf.contexts.size(); ++s) {
-        if (expired()) break;  // unreached candidates are not designs
-        const stt::SelectionGeometry& geometry = bf.geometries[s];
-        boundMemo.clear();  // the partial bound reads this geometry
-        const auto resetWindow = [&] {
-          stt::resetSpecBlocks(window, geometry);
-          matrices.clear();
-          orders.clear();
-          keys.clear();
-        };
-        resetWindow();
-        const auto flushWindow = [&] {
-          const std::size_t count = window.count;
-          if (count == 0) return;
-          if (expired()) {  // emitted but never evaluated -> skipped
-            out.skipped += count;
-            resetWindow();
-            return;
-          }
-          stt::assignSpecBlockClasses(window);
-          stt::BlockMappingStore store(backend.blockSlotCount(window));
-          // The list block path's three passes: cache peek, packed bounds
-          // (tighter than the partial cut — they see class structures and
-          // the exact per-candidate intensity), evaluate survivors.
-          resident.assign(count, nullptr);
-          state.assign(count, 0);
-          pendingIdx.clear();
-          if (prune) {
-            for (std::size_t i = 0; i < count; ++i) {
-              std::shared_ptr<Impl::EvalEntry> entry =
-                  impl_->peekEntry(keys[i]);
-              state[i] = entry ? 1 : 0;
-              resident[i] = std::move(entry);
-              if (state[i] == 0) pendingIdx.push_back(i);
-            }
-            if (!pendingIdx.empty()) {
-              bounds.resize(pendingIdx.size());
-              backend.lowerBoundBlock(window, pendingIdx.data(),
-                                      pendingIdx.size(), q.array,
-                                      bounds.data());
-              for (std::size_t p = 0; p < pendingIdx.size(); ++p) {
-                const ParetoCost boundCost{bounds[p].cycles,
-                                           bounds[p].figures.powerMw,
-                                           bounds[p].figures.area, 0.0};
-                if (finiteCost(boundCost) &&
-                    out.frontier.strictlyDominates(boundCost)) {
-                  ++out.pruned;
-                  state[pendingIdx[p]] = 2;
-                }
-              }
-            }
-          }
-          for (std::size_t i = 0; i < count; ++i) {
-            if (state[i] == 2) continue;
-            std::shared_ptr<Impl::EvalEntry> entry = std::move(resident[i]);
-            bool hit = state[i] == 1;
-            if (!entry) std::tie(entry, hit) = impl_->evalEntry(keys[i]);
-            impl_->forceBlock(entry, window, i, q.array, backend, store);
-            (hit ? out.hits : out.misses) += 1;
-            evicted.clear();
-            if (out.frontier.insert(
-                    paretoEntryOf(entry->perf, entry->cost.figures, orders[i],
-                                  window.labels[i]),
-                    &evicted)) {
-              // Only frontier keepers ever pay for a DataflowSpec.
-              stt::DataflowSpec spec = stt::analyzeDataflow(
-                  bf.contexts[s], stt::SpaceTimeTransform(matrices[i]));
-              out.kept.emplace(
-                  orders[i],
-                  DesignReport(std::move(spec), entry->perf, entry->cost));
-            }
-            for (std::size_t o : evicted) out.kept.erase(o);
-          }
-          resetWindow();
-        };
-        stt::BoundFirstHooks hooks;
-        if (prune)
-          hooks.cut = [&](const stt::PartialTransform& partial) {
-            const std::uint64_t k = partialBoundKey(partial);
-            auto it = boundMemo.find(k);
-            if (it == boundMemo.end())
-              it = boundMemo
-                       .emplace(k, backend.lowerBoundPartial(partial, q.array))
-                       .first;
-            // Memoize only the BOUND: the incumbent frontier grows during
-            // the sweep, so the cut decision is re-taken every time.
-            const ParetoCost boundCost{it->second.cycles,
-                                       it->second.figures.powerMw,
-                                       it->second.figures.area, 0.0};
-            if (finiteCost(boundCost) &&
-                out.frontier.strictlyDominates(boundCost)) {
-              ++out.pruned;
-              ++out.designs;
-              return true;
-            }
-            return false;
-          };
-        hooks.emit = [&](const stt::BoundFirstCandidate& c) {
-          stt::appendSpecBlock(window, geometry, *c.matrix, c.classTag,
-                               c.absDir, c.systolicDt,
-                               geometry.selectionLabel + "-" + c.letters);
-          matrices.push_back(*c.matrix);
-          orders.push_back(repCounter++);
-          keys.push_back(prefixes[unit.query] + bf.selKeyPrefixes[s] +
-                         c.letters + "|" + c.matrix->str());
-          ++out.designs;
-          if (window.count >= windowSize) flushWindow();
-        };
-        if (deadline.armed) hooks.shouldStop = expired;
-        const stt::BoundFirstStats st = stt::enumerateBoundFirst(
-            bf.contexts[s], geometry, q.enumeration, hooks);
-        if (st.stopped) {
-          out.skipped += window.count;
-          break;
-        }
-        flushWindow();
-      }
-    } else if (useBlocks) {
-      const auto& specs = *lists[unit.query];
-      const stt::SpecBlockSet& set = *listEntries[unit.query]->block;
-      const std::vector<std::string>& specKeys = *listEntries[unit.query]->specKeys;
-      stt::BlockMappingStore& store = *stores[unit.query];
-      // Per-unit scratch, reused across blocks: the inner passes allocate
-      // nothing per candidate (keys reuse one buffer's capacity).
-      const std::size_t blockCap =
-          std::min(impl_->options.blockSpecs, unit.end - unit.begin);
-      std::string key;
-      std::vector<std::shared_ptr<Impl::EvalEntry>> resident(blockCap);
-      std::vector<std::uint8_t> state(blockCap);  // 0 eval, 1 hit, 2 pruned
-      std::vector<std::size_t> pending;
-      std::vector<cost::CostBound> bounds;
-      pending.reserve(blockCap);
-      for (std::size_t b = unit.begin; b < unit.end;
-           b += impl_->options.blockSpecs) {
-        // The deadline is observed at block boundaries; on expiry the
-        // WHOLE untouched remainder counts as skipped, so the accounting
-        // invariant (hits + misses + pruned + skipped == designs) holds
-        // exactly for timed-out partial results too.
-        if (deadline.armed &&
-            (deadline.expired.load(std::memory_order_relaxed) ||
-             Clock::now() >= deadline.at)) {
-          deadline.expired.store(true, std::memory_order_relaxed);
-          out.skipped += unit.end - b;
-          break;
-        }
-        const std::size_t blockEnd =
-            std::min(unit.end, b + impl_->options.blockSpecs);
-        if (prune && b != unit.begin) {
-          std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
-          snapshot = incumbents[unit.query].frontier;
-        }
-        // Pass 1 — cache peek: resident evaluations are cheaper than
-        // bounding, so hits bypass the bound pass entirely.
-        pending.clear();
-        for (std::size_t i = b; i < blockEnd; ++i) {
-          key.assign(prefixes[unit.query]);
-          key.append(specKeys[i]);
-          std::shared_ptr<Impl::EvalEntry> entry =
-              prune ? impl_->peekEntry(key) : nullptr;
-          state[i - b] = entry ? 1 : 0;
-          resident[i - b] = std::move(entry);
-          if (prune && state[i - b] == 0) pending.push_back(i);
-        }
-        // Pass 2 — packed lower bounds for every non-resident candidate
-        // of the block, then whole-block dominance cuts against the fresh
-        // snapshot and this unit's own evaluated stream, all BEFORE any
-        // tile-mapping search.
-        if (!pending.empty()) {
-          bounds.resize(pending.size());
-          backend.lowerBoundBlock(set, pending.data(), pending.size(),
-                                  q.array, bounds.data());
-          for (std::size_t p = 0; p < pending.size(); ++p) {
-            const ParetoCost boundCost{bounds[p].cycles,
-                                       bounds[p].figures.powerMw,
-                                       bounds[p].figures.area, 0.0};
-            if (finiteCost(boundCost) &&
-                (snapshot.strictlyDominates(boundCost) ||
-                 out.frontier.strictlyDominates(boundCost))) {
-              ++out.pruned;
-              state[pending[p] - b] = 2;
-            }
-          }
-        }
-        // Pass 3 — evaluate survivors (packed models + per-class mapping
-        // store) and fold into the streaming frontier in index order.
-        for (std::size_t i = b; i < blockEnd; ++i) {
-          if (state[i - b] == 2) continue;
-          std::shared_ptr<Impl::EvalEntry> entry = std::move(resident[i - b]);
-          bool hit = state[i - b] == 1;
-          if (!entry) {
-            key.assign(prefixes[unit.query]);
-            key.append(specKeys[i]);
-            std::tie(entry, hit) = impl_->evalEntry(key);
-          }
-          impl_->forceBlock(entry, set, i, q.array, backend, store);
-          (hit ? out.hits : out.misses) += 1;
-          evicted.clear();
-          if (out.frontier.insert(paretoEntryOf(entry->perf,
-                                                entry->cost.figures, i,
-                                                set.labels[i]),
-                                  &evicted))
-            out.kept.emplace(i, DesignReport(specs[i], entry->perf,
-                                             entry->cost));
-          for (std::size_t o : evicted) out.kept.erase(o);
-        }
-      }
+    Impl::UnitRun run(batch[unit.query], *plan.backend, plan.keyPrefix,
+                      outs[u]);
+    if (plan.boundFirst) {
+      impl_->runBoundFirst(run, *plan.boundFirst, deadline);
     } else {
-    const auto& specs = *lists[unit.query];
-    std::size_t sinceSnapshot = 0;
-    for (std::size_t i = unit.begin; i < unit.end; ++i) {
-      if (deadline.armed && (deadline.expired.load(std::memory_order_relaxed) ||
-                             Clock::now() >= deadline.at)) {
-        deadline.expired.store(true, std::memory_order_relaxed);
-        out.skipped += unit.end - i;
-        break;
-      }
-      if (prune && sinceSnapshot >= kScalarSnapshotSpecs) {
-        std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
-        snapshot = incumbents[unit.query].frontier;
-        sinceSnapshot = 0;
-      }
-      ++sinceSnapshot;
-      const stt::DataflowSpec& spec = specs[i];
-      const std::string key = prefixes[unit.query] + specKey(spec);
-      std::shared_ptr<Impl::EvalEntry> entry;
-      bool hit = false;
-      if (prune) {
-        // Cached evaluations are cheaper than bounding: peek first, bound
-        // only candidates that would actually pay for a full evaluation.
-        entry = impl_->peekEntry(key);
-        hit = entry != nullptr;
-        if (!entry) {
-          // A non-pruned candidate recomputes the mapping-free cost model
-          // inside evaluate(); that duplicate is microseconds against the
-          // tile search it risks, and keeps the cache entry a pure
-          // function of (spec, array, backend) rather than of bound state.
-          const cost::CostBound bound = backend.lowerBound(spec, q.array);
-          const ParetoCost boundCost{bound.cycles, bound.figures.powerMw,
-                                     bound.figures.area, 0.0};
-          // Strict dominance of the lower bound by a final incumbent (from
-          // the snapshot or this unit's own evaluated stream) proves the
-          // true cost would be rejected by insert(); skip the evaluation.
-          if (finiteCost(boundCost) &&
-              (snapshot.strictlyDominates(boundCost) ||
-               out.frontier.strictlyDominates(boundCost))) {
-            ++out.pruned;
-            continue;
-          }
+      const Impl::SpecListEntry& list = *plan.list;
+      for (std::size_t b = unit.begin; b < unit.end; b += kBlockSpecs) {
+        // On expiry the WHOLE untouched remainder counts as skipped, so
+        // hits + misses + pruned + skipped == designs holds exactly for
+        // timed-out partial results too.
+        if (deadline.expired()) {
+          run.out.skipped += unit.end - b;
+          break;
         }
+        // Re-snapshot per block, not once per unit: a stale snapshot lets
+        // late candidates of a large unit dodge cuts that completed units
+        // already justify.
+        if (prune) {
+          std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
+          run.snapshot = incumbents[unit.query].frontier;
+        }
+        impl_->runBlock(run, *list.block, b, std::min(unit.end, b + kBlockSpecs),
+                        0, list.specKeys, *plan.store,
+                        [&](std::size_t i) { return (*list.specs)[i]; });
       }
-      if (!entry) std::tie(entry, hit) = impl_->evalEntry(key);
-      impl_->force(entry, spec, q.array, backend);
-      (hit ? out.hits : out.misses) += 1;
-      evicted.clear();
-      if (out.frontier.insert(
-              paretoEntryOf(entry->perf, entry->cost.figures, i, spec.label()),
-              &evicted))
-        out.kept.emplace(i, DesignReport(spec, entry->perf, entry->cost));
-      for (std::size_t o : evicted) out.kept.erase(o);
-    }
     }
     if (prune) {
       std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
-      incumbents[unit.query].frontier.merge(out.frontier);
+      incumbents[unit.query].frontier.merge(run.out.frontier);
     }
   });
 
@@ -777,10 +679,11 @@ std::vector<QueryResult> ExplorationService::runBatch(
       }
     }
     const std::vector<ParetoEntry> ordered = frontier.sorted();
-    results[i].designs = boundFirst[i]
+    results[i].designs = plans[i].boundFirst
                              ? static_cast<std::size_t>(boundFirstDesigns)
-                             : lists[i]->size();
-    results[i].timedOut = deadlines[i].expired.load(std::memory_order_relaxed);
+                             : plans[i].list->specs->size();
+    results[i].timedOut =
+        deadlines[i].timedOut.load(std::memory_order_relaxed);
     const QueryCacheCounts& c = results[i].cache;
     TL_CHECK(c.hits + c.misses + c.pruned + c.skipped == results[i].designs,
              "cache accounting broken: every design must be exactly one of "
@@ -829,9 +732,9 @@ std::future<QueryResult> ExplorationService::submit(ExploreQuery query) {
 std::vector<DesignReport> ExplorationService::evaluateAll(
     const ExploreQuery& query) {
   const auto backend = makeBackend(query);
-  const auto list = impl_->specList(query);
+  const auto list = impl_->specEntry(query);
   const std::string prefix = impl_->evalPrefix(query, *backend);
-  const std::size_t n = list->size();
+  const std::size_t n = list->specs->size();
 
   std::vector<std::optional<DesignReport>> slots(n);
   const std::size_t chunk = impl_->options.workUnitSpecs;
@@ -839,8 +742,8 @@ std::vector<DesignReport> ExplorationService::evaluateAll(
   parallelForOn(impl_->pool, unitCount, [&](std::size_t u) {
     const std::size_t begin = u * chunk, end = std::min(n, begin + chunk);
     for (std::size_t i = begin; i < end; ++i) {
-      const stt::DataflowSpec& spec = (*list)[i];
-      const auto entry = impl_->evalEntry(prefix + specKey(spec)).first;
+      const stt::DataflowSpec& spec = (*list->specs)[i];
+      const auto entry = impl_->evalEntry(prefix + list->specKeys[i]).first;
       impl_->force(entry, spec, query.array, *backend);
       slots[i].emplace(spec, entry->perf, entry->cost);
     }
@@ -901,8 +804,7 @@ bool ExplorationService::saveSnapshot(const std::string& path,
     w.i64(entry.maxEntry);
     w.u8(static_cast<std::uint8_t>((entry.requireUnimodular ? 1 : 0) |
                                    (entry.canonicalize ? 2 : 0) |
-                                   (entry.legacyEngine ? 4 : 0) |
-                                   (entry.boundFirst ? 8 : 0)));
+                                   (entry.boundFirst ? 4 : 0)));
     w.u64(entry.matrices->size());
     for (const linalg::IntMatrix& m : *entry.matrices) snap::writeMatrix(w, m);
   }
@@ -972,8 +874,7 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
       const std::uint8_t flags = r.u8();
       entry.requireUnimodular = (flags & 1) != 0;
       entry.canonicalize = (flags & 2) != 0;
-      entry.legacyEngine = (flags & 4) != 0;
-      entry.boundFirst = (flags & 8) != 0;
+      entry.boundFirst = (flags & 4) != 0;
       const std::uint64_t count = r.u64();
       std::vector<linalg::IntMatrix> matrices;
       matrices.reserve(count);

@@ -15,11 +15,16 @@
 //     the algebra, duplicate user queries — pay for each design point once.
 //     Enumerated spec lists are cached the same way. Hit/miss/eviction
 //     stats are surfaced per query and service-wide.
+//   * One evaluation path: run()/runBatch() walk every query in blocks of
+//     64 packed candidates (stt::SpecBlockSet) — a list query blocks its
+//     enumerated list, a bound-first query packs its search survivors into
+//     windows — and every block takes the same three passes: cache peek,
+//     packed lower bounds with dominance cuts, packed evaluation of the
+//     survivors (one tile search per mapping class).
 //   * Incremental Pareto streaming: run()/runBatch() fold every evaluated
 //     point into a (cycles, power, area) ParetoFrontier on the fly and keep
 //     reports only for frontier residents, instead of materializing the
-//     full space. evaluateAll() retains the materializing contract for
-//     Session::exploreAll.
+//     full space.
 //   * Lower-bound dominance pruning (branch-and-bound): before fully
 //     evaluating a candidate, its provable lower bound (exact inventory
 //     power/area + cyclesLowerBound) is tested against the query's
@@ -27,6 +32,11 @@
 //     entirely. Pruning only ever removes points insert() would reject, so
 //     frontiers stay bit-identical to exhaustive evaluation at any worker
 //     count (see the pruning differential tests).
+//   * The scalar reference: evaluate()/evaluateAll() price every spec
+//     through the scalar models (CostBackend::estimatePerf + evaluate),
+//     never prune, and materialize every report — the contract behind
+//     Session::exploreAll and the oracle the differential tests fold
+//     run()/runBatch() frontiers against.
 //   * Multi-backend objectives: a query targets the ASIC or the FPGA cost
 //     model through cost::CostBackend; frontiers and objective winners use
 //     the backend-neutral CostFigures axes.
@@ -122,25 +132,14 @@ struct CacheStats {
 struct ServiceOptions {
   /// Evaluation threads including the calling thread; 0 = hardware size.
   std::size_t threads = 0;
-  std::size_t shardCount = 16;            ///< evaluation-cache shards
-  std::size_t cacheCapacity = 1u << 16;   ///< cached evaluations (FIFO/shard)
+  std::size_t shardCount = 16;            ///< evaluation-cache shards (0 -> 1)
+  /// Cached evaluations in total, divided evenly across the shards (FIFO
+  /// eviction per shard).
+  std::size_t cacheCapacity = 1u << 16;
   std::size_t specListCacheCapacity = 8;  ///< enumerated design spaces kept
-  std::size_t workUnitSpecs = 128;        ///< specs per scheduled work unit
-  /// Specs per evaluation block inside a work unit. The default (64, the
-  /// bench-gated setting — bench_block, >= 2x) runs run()/runBatch()
-  /// through the struct-of-arrays block pipeline: each enumerated list is
-  /// packed once into contiguous arrays (stt::SpecBlockSet), every block
-  /// peeks the eval cache, lower-bounds all non-resident candidates in one
-  /// packed pass, prunes whole blocks against a per-block incumbent
-  /// snapshot *before* any tile search, and evaluates survivors through a
-  /// per-query mapping store (one tile search per mapping class). 0 is the
-  /// escape hatch back to the scalar per-candidate path. Frontiers,
-  /// winners and evaluateAll() stay bit-identical either way at any thread
-  /// count (tests/block_eval_test.cpp); only speed and the
-  /// hits/misses/pruned split change. Bound-first queries
-  /// (EnumerationOptions::boundFirst) always evaluate through packed
-  /// windows; for them this knob only sets the window size (0 -> 64).
-  std::size_t blockSpecs = 64;
+  /// Specs per scheduled work unit (0 -> 1). Units are cut into evaluation
+  /// blocks of 64; a block never spans a unit.
+  std::size_t workUnitSpecs = 128;
   /// Lower-bound dominance pruning in run()/runBatch(): candidates whose
   /// provable (cycles, power, area) lower bound is strictly dominated by an
   /// already-evaluated incumbent skip full evaluation. The resulting
@@ -148,10 +147,10 @@ struct ServiceOptions {
   /// count; only the cache-traffic split (hits/misses vs pruned) varies.
   /// evaluateAll() never prunes (it materializes every report).
   bool enablePruning = true;
-  /// Capacity of the service's tile-mapping memo (see stt::MappingCache);
-  /// 0 disables it. The memo halves FPGA evaluations (perf + cost both
-  /// need the mapping) and is scoped to this service, so one-shot cold
-  /// explorations stay honestly cold.
+  /// Capacity of the service's tile-mapping memo (see stt::MappingCache)
+  /// behind evaluate()/evaluateAll(); 0 disables it. The memo halves FPGA
+  /// evaluations (perf + cost both need the mapping) and is scoped to this
+  /// service, so one-shot cold explorations stay honestly cold.
   std::size_t mappingCacheCapacity = 1u << 14;
 };
 
@@ -175,8 +174,10 @@ class ExplorationService {
   /// the cache.
   std::future<QueryResult> submit(ExploreQuery query);
 
-  /// Every evaluated design point in enumeration order (the materializing
-  /// contract behind Session::exploreAll/compileBest).
+  /// Every evaluated design point in enumeration order, priced by the
+  /// scalar models and never pruned (the materializing contract behind
+  /// Session::exploreAll/compileBest, and the exhaustive reference the
+  /// run()/runBatch() differential tests fold frontiers from).
   std::vector<DesignReport> evaluateAll(const ExploreQuery& query);
 
   /// Evaluates one already-analyzed spec through the cache (the path behind

@@ -41,8 +41,7 @@ std::string cacheSchemaFingerprint(const stt::EnumerationOptions& defaults) {
   // rendering in explore_service.cpp plus the mapping-memo key); bump it
   // whenever any key function changes so stale snapshots cold-start
   // instead of silently never hitting. The spec-defining enumeration knobs
-  // follow; the perf knobs (engine choice, memoization, parallelism) are
-  // excluded because they never change what any key means.
+  // follow.
   std::ostringstream os;
   os << "keys-v2;e" << defaults.maxEntry
      << (defaults.requireUnimodular ? "u" : "-")

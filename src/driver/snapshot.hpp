@@ -8,7 +8,7 @@
 // save/restore orchestration lives in ExplorationService::saveSnapshot /
 // restoreSnapshot (driver/explore_service.*).
 //
-// File format (version 1, little-endian, see docs/PROTOCOL.md "Snapshot
+// File format (version 2, little-endian, see docs/PROTOCOL.md "Snapshot
 // format"):
 //
 //   magic     8 bytes  "TLSNAP1\n"
@@ -41,7 +41,9 @@ namespace tensorlib::driver::snapshot {
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'L', 'S', 'N',
                                            'A', 'P', '1', '\n'};
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+/// Version 2 dropped the enumeration-engine bit from the candidate-memo
+/// flags; a version-1 file cold-starts through the version check.
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Why a restore did not (fully) happen. `Restored` is the only warm
 /// outcome; every other status means the service starts cold.

@@ -1,6 +1,7 @@
 #include "driver/wire.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -59,7 +60,7 @@ ExploreQuery parseQuery(const support::JsonObject& obj) {
   parseArrayFields(obj, &q.array);
   if (const auto v = obj.getInt("data_width")) q.dataWidth = static_cast<int>(*v);
   if (const auto v = obj.getInt("max_entry"))
-    q.enumeration.maxEntry = static_cast<int>(*v);
+    q.enumeration.maxEntry = checkMaxEntry(*v);
   if (const auto v = obj.getInt("deadline_ms")) q.deadlineMs = *v;
   if (const auto v = obj.getBool("fp32")) q.fpga.fp32 = *v;
   if (const auto v = obj.getInt("vector_lanes")) q.fpga.vectorLanes = *v;
@@ -98,7 +99,7 @@ NetworkQuery parseNetworkQuery(const support::JsonObject& obj) {
   }
   if (const auto v = obj.getInt("data_width")) q.dataWidth = static_cast<int>(*v);
   if (const auto v = obj.getInt("max_entry"))
-    q.enumeration.maxEntry = static_cast<int>(*v);
+    q.enumeration.maxEntry = checkMaxEntry(*v);
   if (const auto v = obj.getBool("fp32")) q.fpga.fp32 = *v;
   if (const auto v = obj.getInt("vector_lanes")) q.fpga.vectorLanes = *v;
   if (const auto v = obj.getBool("placement_optimized"))
@@ -141,7 +142,7 @@ void parseModelConformance(const support::JsonObject& obj, Request* request) {
   if (const auto v = obj.getInt("data_width"))
     o.dataWidth = static_cast<int>(*v);
   if (const auto v = obj.getInt("max_entry"))
-    o.enumeration.maxEntry = static_cast<int>(*v);
+    o.enumeration.maxEntry = checkMaxEntry(*v);
   if (const auto v = obj.getBool("tamper_rtl_tape")) o.tamperRtlTape = *v;
   if (const auto v = obj.getBool("also_legacy")) o.alsoLegacy = *v;
 }
@@ -164,6 +165,14 @@ void appendNetworkDesign(std::ostringstream& os, const NetworkQuery& q,
 }
 
 }  // namespace
+
+int checkMaxEntry(std::int64_t value) {
+  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+  if (value < 1 || value > kMax)
+    fail("max_entry must be in [1, " + std::to_string(kMax) + "], got " +
+         std::to_string(value));
+  return static_cast<int>(value);
+}
 
 Request parseRequest(const support::JsonObject& obj) {
   Request request;

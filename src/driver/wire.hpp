@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -40,6 +41,11 @@ struct Request {
   std::string name;    ///< workload or model name, echoed in the response
   std::string client;  ///< admission-fairness identity ("client" field)
 };
+
+/// The one range check for a requested STT entry range, shared by every
+/// `max_entry` request field and the CLIs' --max-entry flag: returns the
+/// value as an int, or throws tensorlib::Error unless 1 <= value <= INT_MAX.
+int checkMaxEntry(std::int64_t value);
 
 /// Parses one already-decoded JSON line into a request. Throws
 /// tensorlib::Error (with the offending field) on anything malformed —

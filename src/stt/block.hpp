@@ -1,7 +1,7 @@
 // Struct-of-arrays packing of an enumerated design space.
 //
-// The scalar evaluation path walks pointer-rich DataflowSpec objects one
-// candidate at a time; every bound, mapping search and cost model re-reads
+// The scalar models walk pointer-rich DataflowSpec objects one candidate
+// at a time; every bound, mapping search and cost model re-reads
 // the same transform matrix, extents and access coefficients through
 // shared_ptr indirections. A SpecBlockSet packs the read sets of those
 // models — |transform| entries, selected extents, outer-iteration product,
@@ -35,7 +35,8 @@ namespace tensorlib::stt {
 /// inputs in formula order, the output last.
 struct SpecBlockSet {
   /// The source specs (aliased, not copied): the driver still needs real
-  /// DataflowSpecs for frontier reports and for the scalar fallback.
+  /// DataflowSpecs for frontier reports, and CostBackend's default block
+  /// entry points fall back to the scalar models on them.
   std::shared_ptr<const std::vector<DataflowSpec>> source;
 
   std::size_t count = 0;           ///< specs in the set

@@ -70,48 +70,14 @@ std::array<std::int64_t, 9> flat(const linalg::IntMatrix& m) {
   return out;
 }
 
-/// Simplest-first total order shared by both engines; the flat() tie-break
-/// makes the sorted candidate list independent of generation order.
+/// Simplest-first total order; the flat() tie-break makes the sorted
+/// candidate list independent of generation order.
 bool simplerThan(const linalg::IntMatrix& a, const linalg::IntMatrix& b) {
   const int na = nonzeroCount(a), nb = nonzeroCount(b);
   if (na != nb) return na < nb;
   const std::int64_t sa = absSum(a), sb = absSum(b);
   if (sa != sb) return sa < sb;
   return flat(a) < flat(b);
-}
-
-/// Reference engine (the original implementation): decode every matrix in
-/// the (2*maxEntry+1)^9 cube, filter by exact rational determinant,
-/// canonicalize, dedupe through a set. Kept behind
-/// EnumerationOptions::useLegacyEnumeration for differential tests and as
-/// the perf baseline in bench/perf_regression.cpp.
-std::vector<linalg::IntMatrix> legacyCandidateMatrices(
-    const EnumerationOptions& options) {
-  const std::int64_t lo = -options.maxEntry;
-  const std::int64_t hi = options.maxEntry;
-  const std::int64_t radix = hi - lo + 1;
-  std::int64_t total = 1;
-  for (int i = 0; i < 9; ++i) total *= radix;
-
-  std::set<std::array<std::int64_t, 9>> seen;
-  std::vector<linalg::IntMatrix> out;
-  for (std::int64_t code = 0; code < total; ++code) {
-    linalg::IntMatrix m(3, 3);
-    std::int64_t c = code;
-    for (std::size_t i = 0; i < 3; ++i)
-      for (std::size_t j = 0; j < 3; ++j) {
-        m.at(i, j) = lo + (c % radix);
-        c /= radix;
-      }
-    const std::int64_t det = linalg::determinant(m);
-    if (det == 0) continue;
-    if (options.requireUnimodular && det != 1 && det != -1) continue;
-    if (options.canonicalize) m = canonicalize(m);
-    if (!seen.insert(flat(m)).second) continue;
-    out.push_back(std::move(m));
-  }
-  std::sort(out.begin(), out.end(), simplerThan);
-  return out;
 }
 
 using Row3 = std::array<std::int64_t, 3>;
@@ -135,13 +101,13 @@ std::vector<Row3> rowPool(int maxEntry, bool signCanonical) {
   return rows;
 }
 
-/// Direct engine: builds matrices row-by-row so only canonical
-/// representatives are ever materialized (sign-canonical rows, space rows
-/// in lex order), with an incremental determinant — the cross product of
-/// the two space rows is computed once per pair and dotted with each time
-/// row. No decode, no rational arithmetic, no dedupe set; for maxEntry=2
-/// this visits ~120k row triples instead of ~1.95M full decodes.
-std::vector<linalg::IntMatrix> directCandidateMatrices(
+/// Builds matrices row-by-row so only canonical representatives are ever
+/// materialized (sign-canonical rows, space rows in lex order), with an
+/// incremental determinant — the cross product of the two space rows is
+/// computed once per pair and dotted with each time row. No decode, no
+/// rational arithmetic, no dedupe set; for maxEntry=2 this visits ~120k row
+/// triples instead of ~1.95M full decodes.
+std::vector<linalg::IntMatrix> generateCandidateMatrices(
     const EnumerationOptions& options) {
   const std::vector<Row3> rows = rowPool(options.maxEntry, options.canonicalize);
   const std::size_t n = rows.size();
@@ -182,7 +148,8 @@ using CandidateList = std::shared_ptr<const std::vector<linalg::IntMatrix>>;
 /// instrumented (mirrors the exploration service's cache pattern): distinct
 /// EnumerationOptions keys no longer grow the process footprint forever.
 struct CandidateCache {
-  using Key = std::tuple<int, bool, bool, bool, bool>;
+  /// (maxEntry, requireUnimodular, canonicalize, boundFirst).
+  using Key = std::tuple<int, bool, bool, bool>;
   std::mutex mutex;
   std::map<Key, CandidateList> map;
   std::deque<Key> fifo;
@@ -202,10 +169,9 @@ struct CandidateCache {
 CandidateList candidateMatrices(const EnumerationOptions& options) {
   const CandidateCache::Key key =
       std::make_tuple(options.maxEntry, options.requireUnimodular,
-                      options.canonicalize, options.useLegacyEnumeration,
-                      options.boundFirst);
+                      options.canonicalize, options.boundFirst);
   CandidateCache& cache = CandidateCache::instance();
-  if (options.cacheCandidates) {
+  {
     std::lock_guard<std::mutex> lock(cache.mutex);
     const auto it = cache.map.find(key);
     if (it != cache.map.end()) {
@@ -215,25 +181,21 @@ CandidateList candidateMatrices(const EnumerationOptions& options) {
     ++cache.stats.misses;
   }
   CandidateList list = std::make_shared<const std::vector<linalg::IntMatrix>>(
-      options.useLegacyEnumeration ? legacyCandidateMatrices(options)
-                                   : directCandidateMatrices(options));
-  if (options.cacheCandidates) {
-    // If another thread raced us here, both lists are identical; keep the
-    // first one inserted. Eviction is FIFO on insertion order; holders of
-    // an evicted list keep it alive through the shared_ptr.
-    std::lock_guard<std::mutex> lock(cache.mutex);
-    const auto [it, inserted] = cache.map.try_emplace(key, std::move(list));
-    list = it->second;
-    if (inserted) {
-      cache.fifo.push_back(key);
-      while (cache.map.size() > cache.capacity) {
-        cache.map.erase(cache.fifo.front());
-        cache.fifo.pop_front();
-        ++cache.stats.evictions;
-      }
+      generateCandidateMatrices(options));
+  // If another thread raced us here, both lists are identical; keep the
+  // first one inserted. Eviction is FIFO on insertion order; holders of an
+  // evicted list keep it alive through the shared_ptr.
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  const auto [it, inserted] = cache.map.try_emplace(key, std::move(list));
+  if (inserted) {
+    cache.fifo.push_back(key);
+    while (cache.map.size() > cache.capacity) {
+      cache.map.erase(cache.fifo.front());
+      cache.fifo.pop_front();
+      ++cache.stats.evictions;
     }
   }
-  return list;
+  return it->second;
 }
 
 /// Flat open-addressing set of 64-bit signature hashes: the dedupe hot path
@@ -413,11 +375,7 @@ std::vector<DataflowSpec> enumerateTransformsOn(const SpecContextPtr& context,
       analyzed[i].emplace(
           analyzeDataflow(context, SpaceTimeTransform((*candidates)[base + i])));
     };
-    if (options.parallelAnalyze && count > 1) {
-      parallelFor(count, analyzeAt);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) analyzeAt(i);
-    }
+    parallelFor(count, analyzeAt);
     for (std::size_t i = 0; i < count; ++i) {
       DataflowSpec& spec = *analyzed[i];
       if (!passesFilters(spec, options)) continue;
@@ -457,7 +415,7 @@ std::vector<CandidateCacheEntry> exportCandidateCache() {
     if (it == cache.map.end()) continue;
     CandidateCacheEntry entry;
     std::tie(entry.maxEntry, entry.requireUnimodular, entry.canonicalize,
-             entry.legacyEngine, entry.boundFirst) = key;
+             entry.boundFirst) = key;
     entry.matrices = it->second;
     out.push_back(std::move(entry));
   }
@@ -470,9 +428,9 @@ std::size_t importCandidateCache(const std::vector<CandidateCacheEntry>& entries
   std::size_t inserted = 0;
   for (const CandidateCacheEntry& entry : entries) {
     if (!entry.matrices) continue;
-    const CandidateCache::Key key = std::make_tuple(
-        entry.maxEntry, entry.requireUnimodular, entry.canonicalize,
-        entry.legacyEngine, entry.boundFirst);
+    const CandidateCache::Key key =
+        std::make_tuple(entry.maxEntry, entry.requireUnimodular,
+                        entry.canonicalize, entry.boundFirst);
     if (!cache.map.try_emplace(key, entry.matrices).second) continue;
     cache.fifo.push_back(key);
     ++inserted;

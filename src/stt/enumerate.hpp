@@ -1,20 +1,20 @@
 // Design-space enumeration (the engine behind Fig. 6 and dataflow search).
 //
-// The default engine builds 3x3 integer STT matrices with entries in
+// The engine builds 3x3 integer STT matrices with entries in
 // [-maxEntry, maxEntry] DIRECTLY in canonical form, row by row with an
 // incremental cross-product determinant: exactly one representative per
 // orbit of the STT symmetry group (row sign flips = array mirror / time
 // reversal; spatial row swap = array transpose) is ever materialized — no
-// decode-everything pass, no dedupe set. The original
-// decode-all-filter-canonicalize engine is kept behind
-// EnumerationOptions::useLegacyEnumeration as the differential/perf
-// baseline. On top of the candidate stream sit two consumers: the classic
-// analyze-then-dedupe sweep (enumerateTransforms) and the bound-first
-// branch-and-bound search (enumerateBoundFirst), which cuts candidates
-// against admissible partial-transform cost bounds and quotients by
-// evaluation class before any DataflowSpec exists. Also provides
-// label-directed search used to construct every named dataflow in the
-// paper (e.g. "MNK-MTM", "KCX-STS").
+// decode-everything pass, no dedupe set. The candidate list is memoized
+// process-wide and analysis fans out over the thread pool; the original
+// decode-all-filter-canonicalize engine survives only as a test oracle
+// (tests/legacy_enumeration.hpp). On top of the candidate stream sit two
+// consumers: the classic analyze-then-dedupe sweep (enumerateTransforms)
+// and the bound-first branch-and-bound search (enumerateBoundFirst), which
+// cuts candidates against admissible partial-transform cost bounds and
+// quotients by evaluation class before any DataflowSpec exists. Also
+// provides label-directed search used to construct every named dataflow in
+// the paper (e.g. "MNK-MTM", "KCX-STS").
 #pragma once
 
 #include <cstdint>
@@ -28,11 +28,11 @@
 
 namespace tensorlib::stt {
 
-/// Traffic through the process-wide candidate-matrix memo (see
-/// EnumerationOptions::cacheCandidates). The memo is bounded: once more
-/// distinct option keys than the capacity have been seen, the oldest list
-/// is evicted FIFO (in-flight holders keep evicted lists alive through
-/// their shared_ptr).
+/// Traffic through the process-wide candidate-matrix memo, which every
+/// enumeration and findDataflow lookup goes through. The memo is bounded:
+/// once more distinct option keys than the capacity have been seen, the
+/// oldest list is evicted FIFO (in-flight holders keep evicted lists alive
+/// through their shared_ptr).
 struct CandidateCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -42,7 +42,8 @@ struct CandidateCacheStats {
 
 CandidateCacheStats candidateCacheStats();
 
-/// Drops every memoized candidate list (stats are preserved).
+/// Drops every memoized candidate list (stats are preserved): the
+/// cold-start hook for honest enumeration timing.
 void clearCandidateCache();
 
 /// Sets the memo's capacity (distinct option keys kept); returns the
@@ -51,7 +52,7 @@ std::size_t setCandidateCacheCapacity(std::size_t capacity);
 
 /// One memoized candidate-matrix list together with the option key that
 /// produced it — the unit of candidate-memo snapshot/restore (see
-/// driver/snapshot.*). The five key fields are exactly the
+/// driver/snapshot.*). The four key fields are exactly the
 /// EnumerationOptions knobs candidateMatrices() is keyed by (boundFirst
 /// lists are byte-identical to their classic siblings today, but the key
 /// keeps the memo honest if the bound-first generator ever specializes —
@@ -60,7 +61,6 @@ struct CandidateCacheEntry {
   int maxEntry = 1;
   bool requireUnimodular = true;
   bool canonicalize = true;
-  bool legacyEngine = false;
   bool boundFirst = false;
   std::shared_ptr<const std::vector<linalg::IntMatrix>> matrices;
 };
@@ -74,8 +74,7 @@ std::vector<CandidateCacheEntry> exportCandidateCache();
 /// actually inserted.
 std::size_t importCandidateCache(const std::vector<CandidateCacheEntry>& entries);
 
-/// Design-space generation controls. The first six knobs define WHICH
-/// specs exist; the performance knobs below never change the spec list.
+/// Design-space generation controls. Every knob defines WHICH specs exist;
 /// docs/TUNING.md documents each one with defaults and flip-guidance.
 struct EnumerationOptions {
   int maxEntry = 1;               ///< entry range [-maxEntry, maxEntry]
@@ -98,22 +97,6 @@ struct EnumerationOptions {
   /// engine's. Spec-defining: the quotient keeps different representatives
   /// than signature dedupe (same evaluated figures, pinned by tests).
   bool boundFirst = false;
-
-  // --- performance knobs. These never change WHAT is enumerated (the spec
-  // list is byte-identical across all settings), only how fast it appears.
-  /// Decode-all-and-filter candidate generation (the original reference
-  /// implementation), kept for differential testing and perf baselines.
-  /// The default engine generates matrices directly in canonical form with
-  /// an incremental cross-product determinant.
-  bool useLegacyEnumeration = false;
-  /// Memoize the candidate-matrix list in a process-wide cache keyed by
-  /// (maxEntry, requireUnimodular, canonicalize, engine). Repeated
-  /// enumerations and every findDataflow/findDataflowByLabel lookup then
-  /// skip generation entirely.
-  bool cacheCandidates = true;
-  /// Fan analyzeDataflow over the support/threadpool. Results are filled
-  /// into per-candidate slots, so output order stays deterministic.
-  bool parallelAnalyze = true;
 };
 
 /// All 3-loop selections of the algebra in nest order (C(n,3) of them).

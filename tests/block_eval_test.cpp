@@ -1,17 +1,21 @@
-// Block-path equivalence: the struct-of-arrays evaluation pipeline
-// (ServiceOptions::blockSpecs > 0) must be invisible in every output. Three
-// layers of evidence:
+// Block-pipeline equivalence: the struct-of-arrays evaluation pipeline
+// behind run()/runBatch() must be invisible in every output. Three layers
+// of evidence:
 //
-//   * Differential: block vs scalar frontiers (and winners) are bit-identical
-//     across the full workload table x {ASIC, FPGA} backends x {1, 8} worker
-//     threads x block sizes, warm or cold, and across mixed scalar/block
-//     traffic sharing one evaluation cache.
+//   * Differential: run()/runBatch() frontiers and winners equal the
+//     frontier folded from evaluateAll() (the scalar-model exhaustive
+//     reference, service_reference.hpp) across the full workload table x
+//     {ASIC, FPGA} backends x {1, 8} worker threads, cold and warm, at work
+//     units of 1 spec (one-spec blocks) and of 128 specs (two 64-spec
+//     blocks per unit; a block never spans a unit, so a list's last unit
+//     ends in a short block), at 8- and 16-spec units below, and across
+//     packed and scalar traffic sharing one cache.
 //   * Packed-model unit checks: computeMappingPacked equals computeMapping
 //     field for field, and CostBackend::lowerBoundBlock equals lowerBound
 //     exactly (EXPECT_EQ on doubles), on every enumerated spec checked.
-//   * Accounting: hits + misses + pruned + skipped == designs holds on the
-//     block path too, including deadline-expired partial results where the
-//     whole untouched remainder counts as skipped.
+//   * Accounting: hits + misses + pruned + skipped == designs holds,
+//     including deadline-expired partial results where the whole untouched
+//     remainder counts as skipped.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -19,6 +23,7 @@
 
 #include "cost/backend.hpp"
 #include "driver/explore_service.hpp"
+#include "service_reference.hpp"
 #include "stt/block.hpp"
 #include "stt/enumerate.hpp"
 #include "stt/mapping.hpp"
@@ -30,31 +35,11 @@ namespace {
 
 namespace wl = tensor::workloads;
 
-void expectSameReport(const DesignReport& a, const DesignReport& b) {
-  EXPECT_EQ(a.spec.label(), b.spec.label());
-  EXPECT_EQ(a.spec.transform().str(), b.spec.transform().str());
-  EXPECT_EQ(a.perf.totalCycles, b.perf.totalCycles);
-  EXPECT_EQ(a.perf.utilization, b.perf.utilization);
-  EXPECT_EQ(a.backend, b.backend);
-  const auto fa = a.figures(), fb = b.figures();
-  EXPECT_EQ(fa.powerMw, fb.powerMw);
-  EXPECT_EQ(fa.area, fb.area);
-}
-
-void expectSameResult(const QueryResult& a, const QueryResult& b) {
-  EXPECT_EQ(a.designs, b.designs);
-  ASSERT_EQ(a.frontier.size(), b.frontier.size());
-  for (std::size_t i = 0; i < a.frontier.size(); ++i)
-    expectSameReport(a.frontier[i], b.frontier[i]);
-  ASSERT_EQ(a.best.has_value(), b.best.has_value());
-  if (a.best) expectSameReport(*a.best, *b.best);
-}
-
-ServiceOptions blockOptions(std::size_t threads, std::size_t blockSpecs) {
+ServiceOptions serviceOptions(std::size_t threads,
+                              std::size_t workUnitSpecs = 32) {
   ServiceOptions o;
   o.threads = threads;
-  o.workUnitSpecs = 32;  // several units per query even on small spaces
-  o.blockSpecs = blockSpecs;
+  o.workUnitSpecs = workUnitSpecs;
   return o;
 }
 
@@ -65,11 +50,6 @@ ExploreQuery workloadQuery(const wl::NamedWorkload& w,
   q.backend = backend;
   q.enumeration.dropAllUnicast = !w.allowAllUnicast;
   return q;
-}
-
-void expectExactAccounting(const QueryResult& r) {
-  EXPECT_EQ(r.cache.hits + r.cache.misses + r.cache.pruned + r.cache.skipped,
-            r.designs);
 }
 
 /// Enumerates up to `cap` specs of the algebra the way the service does.
@@ -91,29 +71,27 @@ std::shared_ptr<const std::vector<stt::DataflowSpec>> enumerateSpecs(
 
 // --- the differential satellite ---------------------------------------------
 
-TEST(BlockDifferential, FrontiersBitIdenticalToScalarAcrossTable) {
+TEST(BlockDifferential, FrontiersEqualEvaluateAllAcrossTable) {
   for (const auto& w : wl::allWorkloads()) {
     for (const auto backend :
          {cost::BackendKind::Asic, cost::BackendKind::Fpga}) {
       const ExploreQuery q = workloadQuery(w, backend);
+      ExplorationService reference(serviceOptions(1));
+      const QueryResult expected = referenceResult(reference, q);
 
-      // Scalar reference: blockSpecs = 0 keeps the per-candidate path.
-      ExplorationService scalar(blockOptions(1, 0));
-      const QueryResult reference = scalar.run(q);
-      expectExactAccounting(reference);
-
-      // Block sizes that exercise degenerate one-spec blocks, blocks that
-      // straddle nothing (>= workUnitSpecs), and the bench-gated setting.
-      for (const std::size_t blockSpecs : {std::size_t{1}, std::size_t{64}}) {
+      for (const std::size_t unitSpecs : {std::size_t{1}, std::size_t{128}}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-          ExplorationService block(blockOptions(threads, blockSpecs));
-          const QueryResult result = block.run(q);
+          ExplorationService service(serviceOptions(threads, unitSpecs));
+          const QueryResult cold = service.run(q);
+          const QueryResult warm = service.run(q);
           SCOPED_TRACE(w.name + " backend=" + cost::backendKindName(backend) +
-                       " blockSpecs=" + std::to_string(blockSpecs) +
+                       " workUnitSpecs=" + std::to_string(unitSpecs) +
                        " threads=" + std::to_string(threads));
-          expectSameResult(reference, result);
-          expectExactAccounting(result);
-          EXPECT_EQ(result.cache.skipped, 0u);
+          expectSameResult(expected, cold);
+          expectSameResult(expected, warm);
+          expectExactAccounting(cold);
+          expectExactAccounting(warm);
+          EXPECT_EQ(cold.cache.skipped, 0u);
         }
       }
     }
@@ -121,47 +99,48 @@ TEST(BlockDifferential, FrontiersBitIdenticalToScalarAcrossTable) {
 }
 
 TEST(BlockDifferential, WarmRunsStayBitIdentical) {
-  // A warm cache turns would-be pruned candidates into peek hits; the block
-  // path's output must not care.
+  // A cache primed by the scalar reference turns would-be pruned candidates
+  // into peek hits; the block path's output must not care.
   ExploreQuery q(wl::gemm(8, 8, 8));
   q.array.rows = q.array.cols = 4;
 
-  ExplorationService scalar(blockOptions(1, 0));
-  const auto reference = scalar.run(q);
+  ExplorationService reference(serviceOptions(1));
+  const auto expected = referenceResult(reference, q);
 
-  ExplorationService block(blockOptions(1, 64));
-  const auto cold = block.run(q);
-  (void)block.evaluateAll(q);  // prime the cache with every evaluation
-  const auto warm = block.run(q);
+  ExplorationService service(serviceOptions(1));
+  const auto cold = service.run(q);
+  (void)service.evaluateAll(q);  // prime the cache with every evaluation
+  const auto warm = service.run(q);
 
-  expectSameResult(reference, cold);
-  expectSameResult(reference, warm);
+  expectSameResult(expected, cold);
+  expectSameResult(expected, warm);
   EXPECT_EQ(warm.cache.pruned, 0u);  // everything cached: peek wins first
+  EXPECT_EQ(warm.cache.hits, warm.designs);
   expectExactAccounting(warm);
 }
 
-TEST(BlockDifferential, MixedScalarAndBlockTrafficSharesOneCache) {
-  // Entries written by the block path must read back identically on the
-  // scalar path (and vice versa): evaluateAll on a block-warmed service has
-  // to match a fresh scalar service's evaluateAll report for report.
+TEST(BlockDifferential, PackedAndScalarTrafficShareOneCache) {
+  // Entries written by the packed models must read back identically on the
+  // scalar path: evaluateAll on a run()-warmed service has to match a fresh
+  // service's evaluateAll report for report.
   ExploreQuery q(wl::attention(8, 8, 8));
   q.array.rows = q.array.cols = 4;
 
-  ExplorationService block(blockOptions(1, 16));
-  (void)block.run(q);  // warm the cache through forceBlock
-  const auto viaBlockCache = block.evaluateAll(q);
+  ExplorationService warmed(serviceOptions(1, 16));
+  (void)warmed.run(q);  // warm the cache through forceBlock
+  const auto viaBlockCache = warmed.evaluateAll(q);
 
-  ExplorationService scalar(blockOptions(1, 0));
-  const auto viaScalar = scalar.evaluateAll(q);
+  ExplorationService fresh(serviceOptions(1));
+  const auto viaScalar = fresh.evaluateAll(q);
 
   ASSERT_EQ(viaBlockCache.size(), viaScalar.size());
   for (std::size_t i = 0; i < viaScalar.size(); ++i)
     expectSameReport(viaBlockCache[i], viaScalar[i]);
 }
 
-TEST(BlockDifferential, BatchedQueriesMatchScalarBatch) {
-  // runBatch with duplicates and both backends: positional results from the
-  // block pipeline equal the scalar pipeline's.
+TEST(BlockDifferential, BatchedQueriesMatchReference) {
+  // runBatch with duplicates and both backends: positional results equal
+  // each query's evaluateAll fold.
   std::vector<ExploreQuery> batch;
   for (const auto backend :
        {cost::BackendKind::Asic, cost::BackendKind::Fpga}) {
@@ -172,19 +151,18 @@ TEST(BlockDifferential, BatchedQueriesMatchScalarBatch) {
     batch.push_back(q);  // duplicate: exercises shared once-flag entries
   }
 
-  ExplorationService scalar(blockOptions(8, 0));
-  ExplorationService block(blockOptions(8, 16));
-  const auto expected = scalar.runBatch(batch);
-  const auto actual = block.runBatch(batch);
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
+  ExplorationService reference(serviceOptions(8));
+  ExplorationService service(serviceOptions(8, 16));
+  const auto actual = service.runBatch(batch);
+  ASSERT_EQ(actual.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
-    expectSameResult(expected[i], actual[i]);
+    expectSameResult(referenceResult(reference, batch[i]), actual[i]);
     expectExactAccounting(actual[i]);
   }
 }
 
-// --- deadline accounting on the block path -----------------------------------
+// --- deadline accounting -----------------------------------------------------
 
 class BlockDeadlineTest : public ::testing::Test {
  protected:
@@ -197,7 +175,7 @@ TEST_F(BlockDeadlineTest, ExpiryCountsWholeRemainderAsSkipped) {
   ExploreQuery q(wl::gemm(5, 5, 5));
   q.array.rows = q.array.cols = 4;
   q.deadlineMs = 1;
-  ExplorationService service(blockOptions(1, 8));
+  ExplorationService service(serviceOptions(1, 8));
   const auto r = service.run(q);
   EXPECT_TRUE(r.timedOut);
   EXPECT_GT(r.cache.skipped, 0u);
@@ -211,16 +189,16 @@ TEST_F(BlockDeadlineTest, GenerousDeadlineChangesNothing) {
   ExploreQuery q(wl::gemm(5, 5, 5));
   q.array.rows = q.array.cols = 4;
 
-  ExplorationService scalar(blockOptions(1, 0));
-  const auto reference = scalar.run(q);
+  ExplorationService reference(serviceOptions(1));
+  const auto expected = referenceResult(reference, q);
 
   ExploreQuery bounded = q;
   bounded.deadlineMs = 60'000;
-  ExplorationService block(blockOptions(1, 8));
-  const auto r = block.run(bounded);
+  ExplorationService service(serviceOptions(1, 8));
+  const auto r = service.run(bounded);
   EXPECT_FALSE(r.timedOut);
   EXPECT_EQ(r.cache.skipped, 0u);
-  expectSameResult(reference, r);
+  expectSameResult(expected, r);
   expectExactAccounting(r);
 }
 

@@ -1,9 +1,10 @@
 // Block-pipeline stress (runs under TSan via the service-stress label):
 // repeated mixed batches — both backends, duplicate queries, a
-// deadline-bounded query — through the struct-of-arrays path at 8 workers
-// must stay bit-identical run to run and match the scalar pipeline, while
-// every query keeps exact cache-bucket accounting. Concurrent submit()
-// traffic shares the same caches without racing the batch path.
+// deadline-bounded query — through run()/runBatch() at 8 workers and
+// 16-spec work units must stay bit-identical run to run and match the
+// evaluateAll() reference, while every query keeps exact cache-bucket
+// accounting. Concurrent submit() traffic shares the same caches without
+// racing the batch path.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -12,6 +13,7 @@
 
 #include "cost/backend.hpp"
 #include "driver/explore_service.hpp"
+#include "service_reference.hpp"
 #include "tensor/workloads.hpp"
 
 namespace tensorlib::driver {
@@ -19,11 +21,10 @@ namespace {
 
 namespace wl = tensor::workloads;
 
-ServiceOptions stressOptions(std::size_t threads, std::size_t blockSpecs) {
+ServiceOptions stressOptions(std::size_t threads) {
   ServiceOptions o;
   o.threads = threads;
-  o.workUnitSpecs = 32;
-  o.blockSpecs = blockSpecs;
+  o.workUnitSpecs = 16;
   return o;
 }
 
@@ -32,22 +33,6 @@ ExploreQuery query(tensor::TensorAlgebra algebra, cost::BackendKind backend) {
   q.array.rows = q.array.cols = 4;
   q.backend = backend;
   return q;
-}
-
-void expectSameResult(const QueryResult& a, const QueryResult& b) {
-  EXPECT_EQ(a.designs, b.designs);
-  ASSERT_EQ(a.frontier.size(), b.frontier.size());
-  for (std::size_t i = 0; i < a.frontier.size(); ++i) {
-    EXPECT_EQ(a.frontier[i].spec.label(), b.frontier[i].spec.label());
-    EXPECT_EQ(a.frontier[i].perf.totalCycles, b.frontier[i].perf.totalCycles);
-    EXPECT_EQ(a.frontier[i].figures().powerMw, b.frontier[i].figures().powerMw);
-    EXPECT_EQ(a.frontier[i].figures().area, b.frontier[i].figures().area);
-  }
-}
-
-void expectExactAccounting(const QueryResult& r) {
-  EXPECT_EQ(r.cache.hits + r.cache.misses + r.cache.pruned + r.cache.skipped,
-            r.designs);
 }
 
 std::vector<ExploreQuery> mixedBatch() {
@@ -65,11 +50,13 @@ std::vector<ExploreQuery> mixedBatch() {
 TEST(BlockStress, RepeatedMixedBatchesStayBitIdentical) {
   const auto batch = mixedBatch();
 
-  ExplorationService scalar(stressOptions(1, 0));
-  const auto reference = scalar.runBatch(batch);
+  ExplorationService referenceService(stressOptions(1));
+  std::vector<QueryResult> reference;
+  for (const auto& q : batch)
+    reference.push_back(referenceResult(referenceService, q));
 
   for (int round = 0; round < 3; ++round) {
-    ExplorationService block(stressOptions(8, 16));
+    ExplorationService block(stressOptions(8));
     const auto results = block.runBatch(batch);
     ASSERT_EQ(results.size(), reference.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -84,7 +71,7 @@ TEST(BlockStress, RepeatedMixedBatchesStayBitIdentical) {
 
 TEST(BlockStress, WarmRepeatOnOneServiceStaysBitIdentical) {
   const auto batch = mixedBatch();
-  ExplorationService block(stressOptions(8, 16));
+  ExplorationService block(stressOptions(8));
   const auto cold = block.runBatch(batch);
   const auto warm = block.runBatch(batch);
   ASSERT_EQ(cold.size(), warm.size());
@@ -96,8 +83,8 @@ TEST(BlockStress, WarmRepeatOnOneServiceStaysBitIdentical) {
 }
 
 TEST(BlockStress, ConcurrentSubmitsShareCachesSafely) {
-  ExplorationService scalar(stressOptions(1, 0));
-  ExplorationService block(stressOptions(8, 16));
+  ExplorationService reference(stressOptions(1));
+  ExplorationService block(stressOptions(8));
 
   std::vector<ExploreQuery> queries;
   queries.push_back(query(wl::gemm(5, 5, 5), cost::BackendKind::Asic));
@@ -111,7 +98,7 @@ TEST(BlockStress, ConcurrentSubmitsShareCachesSafely) {
   for (std::size_t i = 0; i < queries.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
     const QueryResult result = futures[i].get();
-    expectSameResult(scalar.run(queries[i]), result);
+    expectSameResult(referenceResult(reference, queries[i]), result);
     expectExactAccounting(result);
   }
 }

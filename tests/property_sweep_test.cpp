@@ -1,8 +1,8 @@
 // Cross-cutting property sweeps over the enumerated design spaces of every
 // registered workload scenario (tensor/workloads.hpp allWorkloads()), run
-// under BOTH enumeration engines (fast direct-canonical and legacy
-// decode-all-and-filter) — the invariants that make the generator
-// trustworthy.
+// under BOTH enumeration engines (the direct-canonical engine and the
+// decode-all-and-filter oracle in legacy_enumeration.hpp) — the invariants
+// that make the generator trustworthy.
 //
 //  P1  mapping conserves work: sum of tile MACs x outer iterations equals
 //      the algebra's total MAC count, and tile footprints fit the array.
@@ -17,6 +17,7 @@
 #include <tuple>
 
 #include "arch/testbench.hpp"
+#include "legacy_enumeration.hpp"
 #include "sim/dfsim.hpp"
 #include "stt/enumerate.hpp"
 #include "support/error.hpp"
@@ -27,29 +28,34 @@ namespace {
 
 namespace wl = tensor::workloads;
 
-/// Param: (index into allWorkloads(), use the legacy enumeration engine).
+/// Param: (index into allWorkloads(), use the legacy enumeration oracle).
 class WorkloadSweepTest
     : public ::testing::TestWithParam<std::tuple<int, bool>> {
  protected:
   WorkloadSweepTest()
       : workload_(
             wl::allWorkloads()[static_cast<std::size_t>(std::get<0>(GetParam()))]),
-        options_(engineOptions(std::get<1>(GetParam()), workload_)) {}
-
-  static stt::EnumerationOptions engineOptions(bool legacy,
-                                               const wl::NamedWorkload& w) {
-    stt::EnumerationOptions o;
-    o.useLegacyEnumeration = legacy;
-    o.dropAllUnicast = !w.allowAllUnicast;
-    return o;
+        legacy_(std::get<1>(GetParam())) {
+    options_.dropAllUnicast = !workload_.allowAllUnicast;
   }
 
   std::vector<stt::DataflowSpec> specsFor(const stt::LoopSelection& sel) const {
-    return stt::enumerateTransforms(workload_.algebra, sel, options_);
+    return legacy_ ? oracle::legacyEnumerateTransforms(workload_.algebra, sel,
+                                                       options_)
+                   : stt::enumerateTransforms(workload_.algebra, sel, options_);
+  }
+
+  std::optional<stt::DataflowSpec> findFor(const stt::LoopSelection& sel,
+                                           const std::string& letters) const {
+    return legacy_ ? oracle::legacyFindDataflow(workload_.algebra, sel,
+                                                letters, options_)
+                   : stt::findDataflow(workload_.algebra, sel, letters,
+                                       options_);
   }
 
   const wl::NamedWorkload workload_;
-  const stt::EnumerationOptions options_;
+  const bool legacy_;
+  stt::EnumerationOptions options_;
 };
 
 TEST_P(WorkloadSweepTest, MappingConservesWorkAndFits) {
@@ -105,8 +111,7 @@ TEST_P(WorkloadSweepTest, LettersRoundTrip) {
   std::set<std::string> letterSets;
   for (const auto& s : specs) letterSets.insert(s.letters());
   for (const auto& letters : letterSets) {
-    const auto found =
-        stt::findDataflow(workload_.algebra, sels.front(), letters, options_);
+    const auto found = findFor(sels.front(), letters);
     ASSERT_TRUE(found.has_value()) << workload_.name << " " << letters;
     EXPECT_EQ(found->letters(), letters);
   }

@@ -1,18 +1,24 @@
 // Pruning soundness: the lower-bound dominance cut in the exploration
-// service must be invisible in every output. Two layers of evidence:
+// service must be invisible in every output, and must actually cut. Three
+// layers of evidence:
 //
 //   * Differential: pruned vs exhaustive frontiers (and winners) are
 //     bit-identical across the full workload table x {ASIC, FPGA} backends
 //     x {1, 8} worker threads.
+//   * Effect: at maxEntry 1 the cut removes candidates on the
+//     paper-geometry GEMM-256 query (both backends) and on the 10-query
+//     overlapping GEMM-256/attention-64 scenario.
 //   * Unit: cost::boundFigures never exceeds the true evaluated figures in
 //     any axis (cycles, power, area) — checked on fuzz-seeded random
 //     algebras and on the registered workloads, both backends.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "cost/backend.hpp"
 #include "driver/explore_service.hpp"
+#include "service_reference.hpp"
 #include "sim/perf.hpp"
 #include "stt/enumerate.hpp"
 #include "tensor/workloads.hpp"
@@ -23,30 +29,16 @@ namespace {
 
 namespace wl = tensor::workloads;
 
-void expectSameReport(const DesignReport& a, const DesignReport& b) {
-  EXPECT_EQ(a.spec.label(), b.spec.label());
-  EXPECT_EQ(a.spec.transform().str(), b.spec.transform().str());
-  EXPECT_EQ(a.perf.totalCycles, b.perf.totalCycles);
-  EXPECT_EQ(a.perf.utilization, b.perf.utilization);
-  EXPECT_EQ(a.backend, b.backend);
-  const auto fa = a.figures(), fb = b.figures();
-  EXPECT_EQ(fa.powerMw, fb.powerMw);
-  EXPECT_EQ(fa.area, fb.area);
-}
-
-void expectSameResult(const QueryResult& a, const QueryResult& b) {
-  EXPECT_EQ(a.designs, b.designs);
-  ASSERT_EQ(a.frontier.size(), b.frontier.size());
-  for (std::size_t i = 0; i < a.frontier.size(); ++i)
-    expectSameReport(a.frontier[i], b.frontier[i]);
-  ASSERT_EQ(a.best.has_value(), b.best.has_value());
-  if (a.best) expectSameReport(*a.best, *b.best);
-}
-
 ServiceOptions pruningOptions(std::size_t threads) {
   ServiceOptions o;
   o.threads = threads;
   o.workUnitSpecs = 32;  // several units per query even on small spaces
+  return o;
+}
+
+ServiceOptions exhaustiveOptions(std::size_t threads) {
+  ServiceOptions o = pruningOptions(threads);
+  o.enablePruning = false;
   return o;
 }
 
@@ -65,9 +57,7 @@ TEST(PruningDifferential, FrontiersBitIdenticalToExhaustiveAcrossTable) {
     for (const auto backend : {cost::BackendKind::Asic, cost::BackendKind::Fpga}) {
       const ExploreQuery q = workloadQuery(w, backend);
 
-      ServiceOptions exhaustiveOpts = pruningOptions(1);
-      exhaustiveOpts.enablePruning = false;
-      ExplorationService exhaustive(exhaustiveOpts);
+      ExplorationService exhaustive(exhaustiveOptions(1));
       const QueryResult reference = exhaustive.run(q);
       EXPECT_EQ(reference.cache.pruned, 0u) << w.name;
 
@@ -77,9 +67,8 @@ TEST(PruningDifferential, FrontiersBitIdenticalToExhaustiveAcrossTable) {
         SCOPED_TRACE(w.name + " backend=" + cost::backendKindName(backend) +
                      " threads=" + std::to_string(threads));
         expectSameResult(reference, result);
-        // Every design point is accounted for exactly once.
-        EXPECT_EQ(result.cache.hits + result.cache.misses + result.cache.pruned,
-                  result.designs);
+        expectExactAccounting(result);
+        EXPECT_EQ(result.cache.skipped, 0u);
       }
     }
   }
@@ -95,9 +84,7 @@ TEST(PruningDifferential, WarmRunsStayBitIdentical) {
   ExplorationService service(opts);
   const auto cold = service.run(q);
 
-  ServiceOptions exhaustiveOpts = pruningOptions(1);
-  exhaustiveOpts.enablePruning = false;
-  ExplorationService exhaustive(exhaustiveOpts);
+  ExplorationService exhaustive(exhaustiveOptions(1));
   const auto reference = exhaustive.run(q);
   // Prime the pruned service's cache with every evaluation, then rerun.
   (void)service.evaluateAll(q);
@@ -106,6 +93,68 @@ TEST(PruningDifferential, WarmRunsStayBitIdentical) {
   expectSameResult(reference, cold);
   expectSameResult(reference, warm);
   EXPECT_EQ(warm.cache.pruned, 0u);  // everything cached: peek wins first
+}
+
+// --- the cut actually fires -------------------------------------------------
+
+/// The 10-query overlapping scenario: paper-geometry GEMM under three ASIC
+/// and two FPGA objectives, an attention kernel under three, plus two exact
+/// duplicates, at maxEntry 1.
+std::vector<ExploreQuery> overlappingScenario() {
+  const auto gemm = wl::gemm(256, 256, 256);
+  const auto attn = wl::attention(64, 64, 64);
+  const auto query = [](const tensor::TensorAlgebra& algebra,
+                        Objective objective, cost::BackendKind backend) {
+    ExploreQuery q(algebra);
+    q.objective = objective;
+    q.backend = backend;
+    return q;
+  };
+  using O = Objective;
+  using B = cost::BackendKind;
+  return {
+      query(gemm, O::Performance, B::Asic),
+      query(gemm, O::Power, B::Asic),
+      query(gemm, O::EnergyDelay, B::Asic),
+      query(gemm, O::Performance, B::Fpga),
+      query(gemm, O::EnergyDelay, B::Fpga),
+      query(attn, O::Performance, B::Asic),
+      query(attn, O::Power, B::Asic),
+      query(attn, O::EnergyDelay, B::Asic),
+      query(gemm, O::Performance, B::Asic),  // duplicate traffic
+      query(attn, O::Performance, B::Asic),  // duplicate traffic
+  };
+}
+
+TEST(PruningFires, SingleGemm256QueryBothBackends) {
+  for (const auto backend : {cost::BackendKind::Asic, cost::BackendKind::Fpga}) {
+    ExploreQuery q(wl::gemm(256, 256, 256));
+    q.backend = backend;
+    ExplorationService exhaustive(exhaustiveOptions(1));
+    ExplorationService pruned(pruningOptions(1));
+    const QueryResult result = pruned.run(q);
+    SCOPED_TRACE(cost::backendKindName(backend));
+    expectSameResult(exhaustive.run(q), result);
+    expectExactAccounting(result);
+    EXPECT_GT(result.cache.pruned, 0u);
+  }
+}
+
+TEST(PruningFires, OverlappingTenQueryScenario) {
+  const auto batch = overlappingScenario();
+  ExplorationService exhaustive(exhaustiveOptions(1));
+  ExplorationService pruned(pruningOptions(1));
+  const auto expected = exhaustive.runBatch(batch);
+  const auto actual = pruned.runBatch(batch);
+  ASSERT_EQ(actual.size(), expected.size());
+  std::uint64_t cut = 0;
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    expectSameResult(expected[i], actual[i]);
+    expectExactAccounting(actual[i]);
+    cut += actual[i].cache.pruned;
+  }
+  EXPECT_GT(cut, 0u);
 }
 
 // --- bound soundness --------------------------------------------------------

@@ -1,8 +1,7 @@
 // Bound-first branch-and-bound enumeration: admissibility of the
 // partial-transform cost bounds, exact/value-set differentials against the
 // classic enumerate-then-dedupe pipeline, and the service-level contract
-// (designs accounting, blockSpecs default + escape hatch, snapshot flags,
-// deadlines).
+// (designs accounting, snapshot flags, deadlines).
 //
 //   * Partial-bound admissibility fuzz (200 random algebras): for every
 //     sampled candidate, lowerBoundPartial <= lowerBound(completion) <=
@@ -169,28 +168,6 @@ TEST(BoundFirst, ServiceValueSetMatchesClassicMaxEntry3SmallExtents) {
   EXPECT_EQ(ra.best->perf.totalCycles, rb.best->perf.totalCycles);
   EXPECT_EQ(ra.best->figures().powerMw, rb.best->figures().powerMw);
   EXPECT_EQ(ra.best->figures().area, rb.best->figures().area);
-}
-
-TEST(BoundFirst, BlockSpecsDefaultsTo64WithScalarEscapeHatch) {
-  // Satellite contract: the block pipeline is on by default; 0 remains the
-  // scalar escape hatch and produces bit-identical results.
-  EXPECT_EQ(ServiceOptions{}.blockSpecs, 64u);
-  ServiceOptions scalar;
-  scalar.blockSpecs = 0;
-  ExplorationService defaulted{ServiceOptions{}};
-  ExplorationService escaped{scalar};
-  const QueryResult a = defaulted.run(gemmQuery(8, 1, false));
-  const QueryResult b = escaped.run(gemmQuery(8, 1, false));
-  EXPECT_EQ(a.designs, b.designs);
-  ASSERT_EQ(a.frontier.size(), b.frontier.size());
-  for (std::size_t i = 0; i < a.frontier.size(); ++i) {
-    EXPECT_EQ(a.frontier[i].spec.label(), b.frontier[i].spec.label());
-    EXPECT_EQ(a.frontier[i].perf.totalCycles, b.frontier[i].perf.totalCycles);
-  }
-  // Bound-first also honors the escape hatch (windows fall back to 64).
-  const QueryResult c = escaped.run(gemmQuery(8, 1, true));
-  const QueryResult d = defaulted.run(gemmQuery(8, 1, true));
-  EXPECT_EQ(frontierValues(c), frontierValues(d));
 }
 
 TEST(BoundFirst, CandidateMemoKeyAndSnapshotFlagRoundTrip) {

@@ -1,7 +1,7 @@
-// Determinism and equivalence tests for the enumeration perf engine: the
-// direct-canonical generator with process-wide caching and parallel
-// analysis must return byte-identical spec sequences to the legacy serial
-// decode-all-and-filter path, across repeated (cache-hitting) calls.
+// Equivalence tests for the enumeration engine: the direct-canonical
+// generator, with its process-wide candidate memo and parallel analysis,
+// must return byte-identical spec sequences to the serial decode-all
+// oracle in tests/legacy_enumeration.hpp, cold (memo cleared) and warm.
 #include "stt/enumerate.hpp"
 
 #include <gtest/gtest.h>
@@ -9,25 +9,20 @@
 #include <string>
 #include <vector>
 
+#include "legacy_enumeration.hpp"
 #include "tensor/workloads.hpp"
 
 namespace tensorlib::stt {
 namespace {
 
 namespace wl = tensor::workloads;
+using oracle::legacyEnumerateDesignSpace;
+using oracle::legacyEnumerateTransforms;
+using oracle::legacyFindDataflow;
 
-EnumerationOptions fastOptions(int maxEntry) {
+EnumerationOptions withMaxEntry(int maxEntry) {
   EnumerationOptions o;
   o.maxEntry = maxEntry;
-  return o;  // defaults: direct engine, cached, parallel
-}
-
-EnumerationOptions seedOptions(int maxEntry) {
-  EnumerationOptions o;
-  o.maxEntry = maxEntry;
-  o.useLegacyEnumeration = true;
-  o.cacheCandidates = false;
-  o.parallelAnalyze = false;
   return o;
 }
 
@@ -48,58 +43,53 @@ std::string fingerprint(const std::vector<DataflowSpec>& specs) {
   return out;
 }
 
-TEST(EnumerateEngine, FastMatchesLegacySerialByteIdentical) {
+TEST(EnumerateEngine, MatchesLegacyOracleByteIdentical) {
   const auto g = wl::gemm(8, 8, 8);
-  const auto fast = enumerateDesignSpace(g, fastOptions(1));
-  const auto seed = enumerateDesignSpace(g, seedOptions(1));
-  ASSERT_EQ(fast.size(), seed.size());
-  EXPECT_EQ(fingerprint(fast), fingerprint(seed));
+  clearCandidateCache();
+  const auto cold = enumerateDesignSpace(g, withMaxEntry(1));
+  const auto reference = legacyEnumerateDesignSpace(g, withMaxEntry(1));
+  ASSERT_EQ(cold.size(), reference.size());
+  EXPECT_EQ(fingerprint(cold), fingerprint(reference));
 }
 
 TEST(EnumerateEngine, MultiSelectionAlgebraMatches) {
   const auto mt = wl::mttkrp(6, 6, 6, 6);
-  const auto fast = enumerateDesignSpace(mt, fastOptions(1));
-  const auto seed = enumerateDesignSpace(mt, seedOptions(1));
-  EXPECT_EQ(fingerprint(fast), fingerprint(seed));
+  EXPECT_EQ(fingerprint(enumerateDesignSpace(mt, withMaxEntry(1))),
+            fingerprint(legacyEnumerateDesignSpace(mt, withMaxEntry(1))));
 }
 
 TEST(EnumerateEngine, NonCanonicalNonUnimodularMatches) {
   const auto g = wl::gemm(4, 4, 4);
-  EnumerationOptions fast = fastOptions(1);
-  fast.canonicalize = false;
-  fast.requireUnimodular = false;
-  fast.dedupeBySignature = false;
-  EnumerationOptions seed = seedOptions(1);
-  seed.canonicalize = false;
-  seed.requireUnimodular = false;
-  seed.dedupeBySignature = false;
+  EnumerationOptions o = withMaxEntry(1);
+  o.canonicalize = false;
+  o.requireUnimodular = false;
+  o.dedupeBySignature = false;
   const LoopSelection sel(g, {0, 1, 2});
-  EXPECT_EQ(fingerprint(enumerateTransforms(g, sel, fast)),
-            fingerprint(enumerateTransforms(g, sel, seed)));
+  EXPECT_EQ(fingerprint(enumerateTransforms(g, sel, o)),
+            fingerprint(legacyEnumerateTransforms(g, sel, o)));
 }
 
-TEST(EnumerateEngine, CachedCallsAreDeterministic) {
+TEST(EnumerateEngine, ColdAndWarmCallsAreDeterministic) {
   const auto g = wl::gemm(8, 8, 8);
-  const auto first = enumerateDesignSpace(g, fastOptions(1));   // may warm cache
-  const auto second = enumerateDesignSpace(g, fastOptions(1));  // cache hit
-  EXPECT_EQ(fingerprint(first), fingerprint(second));
+  clearCandidateCache();
+  const auto before = candidateCacheStats();
+  const auto cold = enumerateDesignSpace(g, withMaxEntry(1));  // memo miss
+  const auto warm = enumerateDesignSpace(g, withMaxEntry(1));  // memo hit
+  const auto after = candidateCacheStats();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_GE(after.hits - before.hits, 1u);
+  EXPECT_EQ(fingerprint(cold), fingerprint(warm));
 }
 
-TEST(EnumerateEngine, ParallelAnalyzeMatchesSerial) {
+TEST(EnumerateEngine, FindDataflowAgreesWithLegacyOracle) {
   const auto g = wl::gemm(8, 8, 8);
-  EnumerationOptions serial = fastOptions(1);
-  serial.parallelAnalyze = false;
-  EXPECT_EQ(fingerprint(enumerateDesignSpace(g, fastOptions(1))),
-            fingerprint(enumerateDesignSpace(g, serial)));
-}
-
-TEST(EnumerateEngine, FindDataflowAgreesAcrossEngines) {
-  const auto g = wl::gemm(8, 8, 8);
-  for (const std::string label : {"MNK-MTM", "MNK-SST", "MNK-TSS"}) {
-    const auto fast = findDataflowByLabel(g, label, fastOptions(1));
-    const auto seed = findDataflowByLabel(g, label, seedOptions(1));
-    ASSERT_TRUE(fast.has_value() && seed.has_value()) << label;
-    EXPECT_TRUE(fast->transform().matrix() == seed->transform().matrix()) << label;
+  const LoopSelection mnk(g, {0, 1, 2});
+  for (const std::string letters : {"MTM", "SST", "TSS"}) {
+    const auto fast = findDataflowByLabel(g, "MNK-" + letters);
+    const auto reference = legacyFindDataflow(g, mnk, letters, withMaxEntry(1));
+    ASSERT_TRUE(fast.has_value() && reference.has_value()) << letters;
+    EXPECT_TRUE(fast->transform().matrix() == reference->transform().matrix())
+        << letters;
   }
 }
 

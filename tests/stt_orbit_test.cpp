@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "legacy_enumeration.hpp"
 #include "linalg/solve.hpp"
 #include "stt/enumerate.hpp"
 
@@ -111,16 +112,13 @@ TEST(OrbitQuotient, OrbitCountAccountingMaxEntry3) {
 TEST(OrbitQuotient, DirectEngineMatchesLegacyExhaustive) {
   // Exhaustive differential at maxEntry <= 2: the direct engine's list is
   // element-for-element identical (same order) to the legacy
-  // decode-everything engine's.
+  // decode-everything oracle's (tests/legacy_enumeration.hpp).
   for (int e = 1; e <= 2; ++e) {
-    EnumerationOptions direct = canonicalOptions(e);
-    EnumerationOptions legacy = canonicalOptions(e);
-    legacy.useLegacyEnumeration = true;
-    const auto a = candidateTransformMatrices(direct);
-    const auto b = candidateTransformMatrices(legacy);
-    ASSERT_EQ(a->size(), b->size()) << "maxEntry=" << e;
+    const auto a = candidateTransformMatrices(canonicalOptions(e));
+    const auto& b = oracle::legacyCandidateMatrices(canonicalOptions(e));
+    ASSERT_EQ(a->size(), b.size()) << "maxEntry=" << e;
     for (std::size_t i = 0; i < a->size(); ++i)
-      ASSERT_EQ((*a)[i].str(), (*b)[i].str()) << "maxEntry=" << e << " i=" << i;
+      ASSERT_EQ((*a)[i].str(), b[i].str()) << "maxEntry=" << e << " i=" << i;
   }
 }
 

@@ -144,6 +144,38 @@ TEST(ModelConformance, WireRequestParsesOptionsAndTarget) {
                Error);
 }
 
+// max_entry is range-checked once, in driver::wire, for every request kind
+// that carries it: below 1 or above INT_MAX is a parse error (the server
+// answers it with an error line), never an empty or truncated exploration.
+TEST(WireMaxEntry, OutOfRangeIsAParseErrorOnEveryRequestKind) {
+  const std::string requests[] = {
+      "{\"workload\": \"gemm\", \"rows\": 4, \"cols\": 4, ",
+      "{\"network\": \"mlp-3\", ",
+      "{\"model_conformance\": \"mlp-3\", ",
+  };
+  for (const std::string& head : requests) {
+    for (const char* bad : {"0", "-1", "2147483648", "4294967297"}) {
+      SCOPED_TRACE(head + bad);
+      EXPECT_THROW(driver::wire::parseRequest(support::parseJsonLine(
+                       head + "\"max_entry\": " + bad + "}")),
+                   Error);
+    }
+  }
+
+  const auto query = driver::wire::parseRequest(support::parseJsonLine(
+      requests[0] + "\"max_entry\": 2147483647}"));
+  EXPECT_EQ(query.query->enumeration.maxEntry, 2147483647);
+  const auto network = driver::wire::parseRequest(
+      support::parseJsonLine(requests[1] + "\"max_entry\": 2}"));
+  EXPECT_EQ(network.network->enumeration.maxEntry, 2);
+  const auto model = driver::wire::parseRequest(
+      support::parseJsonLine(requests[2] + "\"max_entry\": 1}"));
+  EXPECT_EQ(model.modelOptions.enumeration.maxEntry, 1);
+
+  EXPECT_EQ(driver::wire::checkMaxEntry(1), 1);
+  EXPECT_THROW(driver::wire::checkMaxEntry(0), Error);
+}
+
 TEST(ModelConformance, WireResultLineCarriesVerdictAndDivergence) {
   ModelConformanceReport report;
   report.model = "mlp-3";

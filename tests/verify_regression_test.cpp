@@ -134,14 +134,12 @@ TEST(EnumerationMemoRegression, ChangingOptionsDoesNotServeStaleCandidates) {
             fingerprint(first));
 }
 
-TEST(EnumerationMemoRegression, CacheDisabledMatchesCacheEnabled) {
+TEST(EnumerationMemoRegression, ClearedMemoMatchesWarmMemo) {
   const auto g = wl::gemm(4, 4, 4);
   const stt::LoopSelection sel(g, {0, 1, 2});
-  stt::EnumerationOptions cached;
-  stt::EnumerationOptions uncached;
-  uncached.cacheCandidates = false;
-  EXPECT_EQ(fingerprint(stt::enumerateTransforms(g, sel, cached)),
-            fingerprint(stt::enumerateTransforms(g, sel, uncached)));
+  const auto warm = stt::enumerateTransforms(g, sel);
+  stt::clearCandidateCache();
+  EXPECT_EQ(fingerprint(stt::enumerateTransforms(g, sel)), fingerprint(warm));
 }
 
 }  // namespace

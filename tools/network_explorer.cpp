@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "driver/network_explorer.hpp"
+#include "driver/wire.hpp"
 #include "support/error.hpp"
 #include "tensor/network.hpp"
 
@@ -85,7 +86,8 @@ int main(int argc, char** argv) {
       else if (a == "--frequency-mhz") base.frequencyMHz = std::stod(next());
       else if (a == "--data-bytes") base.dataBytes = std::stoll(next());
       else if (a == "--data-width") dataWidth = std::stoi(next());
-      else if (a == "--max-entry") maxEntry = std::stoi(next());
+      else if (a == "--max-entry")
+        maxEntry = driver::wire::checkMaxEntry(std::stoll(next()));
       else if (a == "--threads") threads = std::stoull(next());
       else if (a == "--max-frontier") maxFrontier = std::stoull(next());
       else if (a == "--objective") {
@@ -99,6 +101,9 @@ int main(int argc, char** argv) {
       } else if (a == "--list-models") listModels = true;
       else return usage();
     }
+  } catch (const Error& e) {  // a flag value out of range
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception&) {
     return usage();
   }
