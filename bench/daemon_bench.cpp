@@ -41,8 +41,8 @@ double msSince(Clock::time_point start) {
 }
 
 // Was 2.0 when the cold start ran the scalar per-candidate pipeline. The
-// block pipeline made the cold start itself ~3x faster, and it skips the
-// tile-mapping memo entirely (snapshots carry 0 mappings), so the restore's
+// block pipeline made the cold start itself ~3x faster, and snapshots carry
+// no tile mappings (a restored evaluation never searches), so the restore's
 // remaining win is the eval cache + candidate lists: measured 1.70x
 // (cold ~740 ms, restored ~435 ms) on the reference container.
 constexpr double kGateMinSpeedup = 1.3;
@@ -50,7 +50,7 @@ constexpr double kGateMinSpeedup = 1.3;
 struct DaemonReport {
   std::size_t designs = 0;  ///< design points across the batch
   double coldMs = 0, restoredMs = 0;
-  std::size_t evalEntries = 0, mappingEntries = 0, candidateLists = 0;
+  std::size_t evalEntries = 0, candidateLists = 0;
   double speedup() const { return coldMs / restoredMs; }
 };
 
@@ -86,7 +86,6 @@ DaemonReport benchDaemon(int maxEntry, const std::string& snapshotPath) {
                  driver::snapshot::restoreStatusName(restore.status) +
                  " " + restore.message);
     r.evalEntries = restore.evalEntries;
-    r.mappingEntries = restore.mappingEntries;
     r.candidateLists = restore.candidateLists;
     bench::checkSameResults(cold, warm);
   }
@@ -126,10 +125,10 @@ int main(int argc, char** argv) {
     std::remove(snapshotPath.c_str());
     std::printf(
         "  cold %.1f ms | restored %.1f ms (%.2fx)  [%zu design evals; "
-        "snapshot: %zu evals, %zu mappings, %zu candidate lists; frontiers "
+        "snapshot: %zu evals, %zu candidate lists; frontiers "
         "bit-identical at 1 and 8 threads]\n",
         r.coldMs, r.restoredMs, r.speedup(), r.designs, r.evalEntries,
-        r.mappingEntries, r.candidateLists);
+        r.candidateLists);
 
     const bool pass = smoke || r.speedup() >= kGateMinSpeedup;
     std::ostringstream line;
@@ -139,7 +138,6 @@ int main(int argc, char** argv) {
          << ", \"restored_ms\": " << r.restoredMs
          << ", \"restored_speedup\": " << r.speedup()
          << ", \"snapshot_evals\": " << r.evalEntries
-         << ", \"snapshot_mappings\": " << r.mappingEntries
          << ", \"snapshot_candidate_lists\": " << r.candidateLists
          << ", \"threads_checked\": \"1,8\""
          << ", \"gate_min_restored_speedup\": " << kGateMinSpeedup

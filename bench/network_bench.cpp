@@ -3,14 +3,13 @@
 // Maps one multi-layer model onto a shared PE array two ways and asserts
 // the network frontiers are bit-identical:
 //
-//   naive     one COLD exhaustive service per layer (pruning off, mapping
-//             memo off, no cross-layer sharing) — the cost of treating a
-//             model as independent per-operator queries — then the same
-//             frontier composition.
+//   naive     one COLD exhaustive service per layer (pruning off, no
+//             cross-layer sharing) — the cost of treating a model as
+//             independent per-operator queries — then the same frontier
+//             composition.
 //   composed  driver::NetworkExplorer — every layer in ONE service batch,
-//             so repeated layer shapes hit the cross-query cache, the
-//             tile-mapping memo collapses sign-relative transforms, and
-//             the lower-bound dominance cut skips dominated evaluations.
+//             so repeated layer shapes hit the cross-query cache and the
+//             lower-bound dominance cut skips dominated evaluations.
 //
 // Full mode uses a serving-size transformer slice (attention-64 twice,
 // GEMM-256 twice, GEMM-128) at maxEntry=2 and gates the composed-vs-naive
@@ -47,7 +46,6 @@ constexpr double kGateMinSpeedup = 1.5;
 driver::ServiceOptions naiveOptions() {
   driver::ServiceOptions o;
   o.enablePruning = false;
-  o.mappingCacheCapacity = 0;
   return o;
 }
 

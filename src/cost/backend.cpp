@@ -16,43 +16,6 @@ std::optional<BackendKind> parseBackendKind(const std::string& name) {
 
 std::string CostReport::str() const { return fpga ? fpga->str() : asic.str(); }
 
-// Base-class block entry points: scalar fallback through set.source, so a
-// backend without packed overrides still answers block calls correctly
-// (zero slots — the fallback never touches the store).
-std::size_t CostBackend::blockSlotCount(const stt::SpecBlockSet&) const {
-  return 0;
-}
-
-CostBound CostBackend::lowerBoundPartial(const stt::PartialTransform&,
-                                         const stt::ArrayConfig&) const {
-  // Trivial-but-admissible: every evaluation costs >= 1 cycle and >= 0
-  // power/area, and no frontier point strictly dominates all three, so a
-  // backend without a real partial bound simply never cuts.
-  CostBound b;
-  b.cycles = 1.0;
-  return b;
-}
-
-void CostBackend::lowerBoundBlock(const stt::SpecBlockSet& set,
-                                  const std::size_t* indices,
-                                  std::size_t count,
-                                  const stt::ArrayConfig& array,
-                                  CostBound* out) const {
-  for (std::size_t n = 0; n < count; ++n)
-    out[n] = lowerBound((*set.source)[indices[n]], array);
-}
-
-BlockEval CostBackend::evaluateBlock(const stt::SpecBlockSet& set,
-                                     std::size_t i,
-                                     const stt::ArrayConfig& array,
-                                     stt::BlockMappingStore&) const {
-  const stt::DataflowSpec& spec = (*set.source)[i];
-  BlockEval e;
-  e.perf = estimatePerf(spec, array);
-  e.cost = evaluate(spec, array);
-  return e;
-}
-
 namespace {
 
 class AsicBackend final : public CostBackend {
@@ -82,8 +45,7 @@ class AsicBackend final : public CostBackend {
   }
 
   CostReport evaluate(const stt::DataflowSpec& spec,
-                      const stt::ArrayConfig& array,
-                      stt::MappingCache* /*mappings*/) const override {
+                      const stt::ArrayConfig& array) const override {
     CostReport rep;
     rep.asic = estimateAsic(spec, array, dataWidth_, table_);
     rep.figures = rep.asic.figures();
@@ -91,9 +53,8 @@ class AsicBackend final : public CostBackend {
   }
 
   sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& array,
-                               stt::MappingCache* mappings) const override {
-    return sim::estimatePerformance(spec, array, mappings);
+                               const stt::ArrayConfig& array) const override {
+    return sim::estimatePerformance(spec, array);
   }
 
   CostBound lowerBound(const stt::DataflowSpec& spec,
@@ -176,19 +137,16 @@ class FpgaBackend final : public CostBackend {
   }
 
   CostReport evaluate(const stt::DataflowSpec& spec,
-                      const stt::ArrayConfig& array,
-                      stt::MappingCache* mappings) const override {
+                      const stt::ArrayConfig& array) const override {
     CostReport rep;
-    rep.fpga = estimateFpga(spec, array, config_, mappings);
+    rep.fpga = estimateFpga(spec, array, config_);
     rep.figures = rep.fpga->figures();
     return rep;
   }
 
   sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& array,
-                               stt::MappingCache* mappings) const override {
-    return sim::estimatePerformance(spec, fpgaPerfConfig(spec, array, config_),
-                                    mappings);
+                               const stt::ArrayConfig& array) const override {
+    return sim::estimatePerformance(spec, fpgaPerfConfig(spec, array, config_));
   }
 
   CostBound lowerBound(const stt::DataflowSpec& spec,

@@ -62,19 +62,15 @@ class CostBackend {
   /// Distinguishes evaluations in the cross-query cache: two backends with
   /// the same cacheKey must produce identical reports for every spec.
   virtual std::string cacheKey() const = 0;
-  /// `mappings`, when non-null, memoizes the tile-mapping searches behind
-  /// the estimate; results are bit-identical with or without it.
   virtual CostReport evaluate(const stt::DataflowSpec& spec,
-                              const stt::ArrayConfig& array,
-                              stt::MappingCache* mappings = nullptr) const = 0;
+                              const stt::ArrayConfig& array) const = 0;
   /// Performance of `spec` under this backend's operating point — the ASIC
   /// backend runs the array as configured; the FPGA backend models the
   /// achieved post-route frequency and the datapath's word size, so
   /// cycles/utilization on a frontier always match the cost model beside
   /// them.
   virtual sim::PerfResult estimatePerf(const stt::DataflowSpec& spec,
-                                       const stt::ArrayConfig& array,
-                                       stt::MappingCache* mappings = nullptr) const = 0;
+                                       const stt::ArrayConfig& array) const = 0;
   /// Cheap provable lower bound on what evaluate/estimatePerf would report
   /// (see CostBound). Never exceeds the true figures in any axis.
   virtual CostBound lowerBound(const stt::DataflowSpec& spec,
@@ -84,37 +80,35 @@ class CostBackend {
   /// (both space rows placed, time row free): for any completion c,
   /// lowerBoundPartial(p) <= lowerBound(c) <= true figures, in every axis.
   /// This is the bound-first enumeration's subtree cut predicate — it runs
-  /// before a DataflowSpec or SpecContext exists. The base implementation
-  /// returns the trivial bound (1 cycle, zero figures), which no incumbent
-  /// can strictly dominate, so custom backends stay correct without
-  /// opting in (they just never cut).
+  /// before a DataflowSpec or SpecContext exists. A backend with no real
+  /// partial bound may return the trivial one (1 cycle, zero figures),
+  /// which no incumbent can strictly dominate: it just never cuts.
   virtual CostBound lowerBoundPartial(const stt::PartialTransform& partial,
-                                      const stt::ArrayConfig& array) const;
+                                      const stt::ArrayConfig& array) const = 0;
 
   // ---- block-shaped entry points -------------------------------------
-  // The struct-of-arrays siblings of lowerBound/estimatePerf/evaluate:
-  // same results bit for bit, but reading packed SpecBlockSet arrays in
-  // tight loops with no per-candidate allocation, and sharing one tile
-  // search per mapping class through a BlockMappingStore. The base class
-  // falls back to the scalar path, so custom backends stay correct
-  // without opting in.
+  // The struct-of-arrays siblings of lowerBound/estimatePerf/evaluate that
+  // run()/runBatch() price every design through: same results bit for
+  // bit, but reading packed SpecBlockSet arrays in tight loops with no
+  // per-candidate allocation, and sharing one tile search per mapping
+  // class through a BlockMappingStore. Every backend implements them.
 
   /// Mapping-store slots a block evaluation of `set` needs (mapping
   /// classes times this backend's operating-point fan-out).
-  virtual std::size_t blockSlotCount(const stt::SpecBlockSet& set) const;
+  virtual std::size_t blockSlotCount(const stt::SpecBlockSet& set) const = 0;
 
   /// Lower bounds for `count` packed candidates (indices into `set`),
   /// written to out[0..count): each equals lowerBound on the same spec.
   virtual void lowerBoundBlock(const stt::SpecBlockSet& set,
                                const std::size_t* indices, std::size_t count,
                                const stt::ArrayConfig& array,
-                               CostBound* out) const;
+                               CostBound* out) const = 0;
 
   /// Full evaluation of packed candidate `i`, memoizing its tile search in
   /// `store`; equals {estimatePerf(spec, array), evaluate(spec, array)}.
   virtual BlockEval evaluateBlock(const stt::SpecBlockSet& set, std::size_t i,
                                   const stt::ArrayConfig& array,
-                                  stt::BlockMappingStore& store) const;
+                                  stt::BlockMappingStore& store) const = 0;
 };
 
 /// Free-function face of CostBackend::lowerBound: provable lower bounds on

@@ -140,14 +140,14 @@ FpgaReport estimateFpgaResources(const stt::DataflowSpec& spec,
 
 FpgaReport estimateFpga(const stt::DataflowSpec& spec,
                         const stt::ArrayConfig& arrayConfig,
-                        const FpgaConfig& cfg, stt::MappingCache* mappings) {
+                        const FpgaConfig& cfg) {
   FpgaReport rep = estimateFpgaResources(spec, arrayConfig, cfg);
 
   // Throughput: lanes * utilization at the achieved frequency and the
   // datapath's real word size (see fpgaPerfConfig).
   const std::int64_t lanes = arrayConfig.rows * arrayConfig.cols * cfg.vectorLanes;
   const sim::PerfResult perf = sim::estimatePerformance(
-      spec, fpgaPerfConfig(spec, arrayConfig, cfg), mappings);
+      spec, fpgaPerfConfig(spec, arrayConfig, cfg));
   rep.gops = 2.0 * static_cast<double>(lanes) * rep.frequencyMHz * 1e6 *
              perf.utilization / 1e9;
   return rep;

@@ -88,11 +88,9 @@ FpgaReport fpgaFromInventory(const StructureInventory& inventory,
 
 /// Estimates the FPGA implementation of `spec` mapped on `arrayConfig`
 /// (rows x cols PEs, each with cfg.vectorLanes MAC lanes) running the
-/// spec's own workload for utilization. `mappings` optionally memoizes the
-/// tile-mapping search behind the throughput model.
+/// spec's own workload for utilization.
 FpgaReport estimateFpga(const stt::DataflowSpec& spec,
                         const stt::ArrayConfig& arrayConfig,
-                        const FpgaConfig& cfg,
-                        stt::MappingCache* mappings = nullptr);
+                        const FpgaConfig& cfg);
 
 }  // namespace tensorlib::cost

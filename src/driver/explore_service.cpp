@@ -126,6 +126,9 @@ struct UnitOut {
   std::unordered_map<std::size_t, DesignReport> kept;  ///< order -> report
   std::uint64_t hits = 0, misses = 0, pruned = 0, skipped = 0;
   std::uint64_t designs = 0;  ///< bound-first only: candidates handled
+  /// Packed evaluations this unit ran (each reads one mapping-store slot),
+  /// and — bound-first only — tile searches its per-window stores ran.
+  std::uint64_t evaluations = 0, searches = 0;
 };
 
 }  // namespace
@@ -133,8 +136,8 @@ struct UnitOut {
 std::string CacheStats::str() const {
   std::ostringstream os;
   os << "hits=" << hits << " misses=" << misses << " evictions=" << evictions
-     << " entries=" << entries << " shards=" << shards << " mappings=["
-     << mappings.str() << "]";
+     << " entries=" << entries << " shards=" << shards << " mappings=[hits="
+     << mappings.hits << " misses=" << mappings.misses << "]";
   return os.str();
 }
 
@@ -199,9 +202,8 @@ struct ExplorationService::Impl {
   ServiceOptions options;
   ThreadPool pool;
   std::vector<EvalShard> shards;
-  /// Memoized tile mappings (perf + cost of one FPGA evaluation share one
-  /// search; scoped per service). Null when disabled.
-  std::unique_ptr<stt::MappingCache> mappings;
+  /// CacheStats::mappings, merged once per runBatch().
+  std::atomic<std::uint64_t> mappingHits{0}, mappingMisses{0};
 
   std::mutex specMutex;
   std::unordered_map<std::string, std::shared_ptr<SpecListEntry>> specMap;
@@ -214,10 +216,7 @@ struct ExplorationService::Impl {
   std::size_t pendingSubmits = 0;
 
   explicit Impl(ServiceOptions opts)
-      : options(resolve(opts)), pool(options.threads - 1), shards(options.shardCount) {
-    if (options.mappingCacheCapacity > 0)
-      mappings = std::make_unique<stt::MappingCache>(options.mappingCacheCapacity);
-  }
+      : options(resolve(opts)), pool(options.threads - 1), shards(options.shardCount) {}
 
   static ServiceOptions resolve(ServiceOptions o) {
     if (o.threads == 0) {
@@ -273,8 +272,8 @@ struct ExplorationService::Impl {
                          const stt::ArrayConfig& array,
                          const cost::CostBackend& backend) {
     std::call_once(entry->once, [&] {
-      entry->perf = backend.estimatePerf(spec, array, mappings.get());
-      entry->cost = backend.evaluate(spec, array, mappings.get());
+      entry->perf = backend.estimatePerf(spec, array);
+      entry->cost = backend.evaluate(spec, array);
       entry->ready.store(true, std::memory_order_release);
     });
     return *entry;
@@ -283,19 +282,21 @@ struct ExplorationService::Impl {
   /// Packed-model evaluation, behind run()/runBatch(). It produces the same
   /// values as force() for the same spec (the equivalence contract), so
   /// whichever wins an entry's once_flag, every waiter reads identical
-  /// results.
-  const EvalEntry& forceBlock(const std::shared_ptr<EvalEntry>& entry,
-                              const stt::SpecBlockSet& set, std::size_t i,
-                              const stt::ArrayConfig& array,
-                              const cost::CostBackend& backend,
-                              stt::BlockMappingStore& store) {
+  /// results. Returns true iff this call ran the evaluation.
+  bool forceBlock(const std::shared_ptr<EvalEntry>& entry,
+                  const stt::SpecBlockSet& set, std::size_t i,
+                  const stt::ArrayConfig& array,
+                  const cost::CostBackend& backend,
+                  stt::BlockMappingStore& store) {
+    bool evaluated = false;
     std::call_once(entry->once, [&] {
       cost::BlockEval eval = backend.evaluateBlock(set, i, array, store);
       entry->perf = eval.perf;
       entry->cost = std::move(eval.cost);
       entry->ready.store(true, std::memory_order_release);
+      evaluated = true;
     });
-    return *entry;
+    return evaluated;
   }
 
   /// Installs a restored evaluation under `key` unless one is already
@@ -344,7 +345,7 @@ struct ExplorationService::Impl {
     std::call_once(entry->once, [&] {
       entry->specs = std::make_shared<const std::vector<stt::DataflowSpec>>(
           stt::enumerateDesignSpace(q.algebra, q.enumeration));
-      entry->block = stt::packSpecBlocks(entry->specs);
+      entry->block = stt::packSpecBlocks(*entry->specs);
       entry->specKeys.reserve(entry->specs->size());
       for (const stt::DataflowSpec& spec : *entry->specs)
         entry->specKeys.push_back(specKey(spec));
@@ -417,7 +418,8 @@ struct ExplorationService::Impl {
       std::shared_ptr<EvalEntry> entry = std::move(run.resident[i - begin]);
       bool hit = run.state[i - begin] == 1;
       if (!entry) std::tie(entry, hit) = evalEntry(keyOf(i));
-      forceBlock(entry, set, i, run.query.array, run.backend, store);
+      if (forceBlock(entry, set, i, run.query.array, run.backend, store))
+        ++out.evaluations;
       (hit ? out.hits : out.misses) += 1;
       run.evicted.clear();
       const std::size_t order = orderBase + i;
@@ -466,6 +468,7 @@ struct ExplorationService::Impl {
                      return stt::analyzeDataflow(
                          bf.contexts[s], stt::SpaceTimeTransform(matrices[i]));
                    });
+          out.searches += store.searches();
         }
         resetWindow();
       };
@@ -658,11 +661,15 @@ std::vector<QueryResult> ExplorationService::runBatch(
 
   // Phase 3: merge unit frontiers per query (unit order; the kept set is
   // insertion-order independent, so any schedule above lands here equal).
+  // Every packed evaluation read one mapping-store slot: the batch's tile
+  // searches are its mapping misses, the other evaluations its hits.
+  std::uint64_t evaluations = 0, searches = 0;
   for (std::size_t i = 0; i < n; ++i) {
     ParetoFrontier frontier;
     std::unordered_map<std::size_t, DesignReport> kept;
     std::vector<std::size_t> pruned;
     std::uint64_t boundFirstDesigns = 0;
+    if (plans[i].store) searches += plans[i].store->searches();
     for (std::size_t u = 0; u < units.size(); ++u) {
       if (units[u].query != i) continue;
       UnitOut& out = outs[u];
@@ -671,6 +678,8 @@ std::vector<QueryResult> ExplorationService::runBatch(
       results[i].cache.pruned += out.pruned;
       results[i].cache.skipped += out.skipped;
       boundFirstDesigns += out.designs;
+      evaluations += out.evaluations;
+      searches += out.searches;
       for (const ParetoEntry& e : out.frontier.entries()) {
         pruned.clear();
         if (frontier.insert(e, &pruned))
@@ -694,6 +703,8 @@ std::vector<QueryResult> ExplorationService::runBatch(
     if (const auto bestIdx = pickBest(ordered, batch[i].objective))
       results[i].best = results[i].frontier[*bestIdx];
   }
+  impl_->mappingMisses += searches;
+  impl_->mappingHits += evaluations - searches;
   return results;
 }
 
@@ -774,7 +785,8 @@ CacheStats ExplorationService::cacheStats() const {
     stats.evictions += shard.evictions;
     stats.entries += shard.map.size();
   }
-  if (impl_->mappings) stats.mappings = impl_->mappings->stats();
+  stats.mappings.hits = impl_->mappingHits;
+  stats.mappings.misses = impl_->mappingMisses;
   return stats;
 }
 
@@ -785,7 +797,8 @@ void ExplorationService::clearCache() {
     shard.fifo.clear();
     shard.hits = shard.misses = shard.evictions = 0;
   }
-  if (impl_->mappings) impl_->mappings->clear();
+  impl_->mappingHits = 0;
+  impl_->mappingMisses = 0;
   std::lock_guard<std::mutex> lock(impl_->specMutex);
   impl_->specMap.clear();
   impl_->specFifo.clear();
@@ -807,17 +820,6 @@ bool ExplorationService::saveSnapshot(const std::string& path,
                                    (entry.boundFirst ? 4 : 0)));
     w.u64(entry.matrices->size());
     for (const linalg::IntMatrix& m : *entry.matrices) snap::writeMatrix(w, m);
-  }
-
-  // Tile-mapping memo.
-  const auto mappings =
-      impl_->mappings ? impl_->mappings->exportEntries()
-                      : std::vector<std::pair<
-                            std::string, std::shared_ptr<const stt::TileMapping>>>{};
-  w.u64(mappings.size());
-  for (const auto& [key, mapping] : mappings) {
-    w.str(key);
-    snap::writeMapping(w, *mapping);
   }
 
   // Eval cache: only entries whose evaluation completed (an in-flight
@@ -854,8 +856,6 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
   // live cache: a snapshot that fails mid-decode leaves the service
   // exactly as cold as it was, never half-populated.
   std::vector<stt::CandidateCacheEntry> candidateLists;
-  std::vector<std::pair<std::string, std::shared_ptr<const stt::TileMapping>>>
-      mappingEntries;
   std::vector<std::tuple<std::string, sim::PerfResult, cost::CostReport>> evals;
   try {
     snap::Reader r(*payload);
@@ -885,14 +885,6 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
       candidateLists.push_back(std::move(entry));
     }
 
-    const std::uint64_t mappings = r.u64();
-    for (std::uint64_t i = 0; i < mappings; ++i) {
-      std::string key = r.str();
-      auto mapping =
-          std::make_shared<const stt::TileMapping>(snap::readMapping(r));
-      mappingEntries.emplace_back(std::move(key), std::move(mapping));
-    }
-
     const std::uint64_t entries = r.u64();
     for (std::uint64_t i = 0; i < entries; ++i) {
       std::string key = r.str();
@@ -912,8 +904,6 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
   }
 
   result.candidateLists = stt::importCandidateCache(candidateLists);
-  if (impl_->mappings)
-    result.mappingEntries = impl_->mappings->importEntries(mappingEntries);
   for (const auto& [key, perf, cost] : evals)
     if (impl_->importEval(key, perf, cost)) ++result.evalEntries;
   result.status = snap::RestoreStatus::Restored;

@@ -20,7 +20,9 @@
 //     enumerated list, a bound-first query packs its search survivors into
 //     windows — and every block takes the same three passes: cache peek,
 //     packed lower bounds with dominance cuts, packed evaluation of the
-//     survivors (one tile search per mapping class).
+//     survivors (one tile search per mapping class, held by the query's
+//     stt::BlockMappingStore — the service's only tile-search memo).
+//     Session::compileBest and every tool explore through this path.
 //   * Incremental Pareto streaming: run()/runBatch() fold every evaluated
 //     point into a (cycles, power, area) ParetoFrontier on the fly and keep
 //     reports only for frontier residents, instead of materializing the
@@ -33,8 +35,9 @@
 //     frontiers stay bit-identical to exhaustive evaluation at any worker
 //     count (see the pruning differential tests).
 //   * The scalar reference: evaluate()/evaluateAll() price every spec
-//     through the scalar models (CostBackend::estimatePerf + evaluate),
-//     never prune, and materialize every report — the contract behind
+//     through the scalar models (CostBackend::estimatePerf + evaluate, one
+//     tile search per model call), never prune, and materialize every
+//     report — the contract behind
 //     Session::exploreAll and the oracle the differential tests fold
 //     run()/runBatch() frontiers against.
 //   * Multi-backend objectives: a query targets the ASIC or the FPGA cost
@@ -116,13 +119,23 @@ struct QueryResult {
   bool timedOut = false;
 };
 
+/// Tile-search traffic of run()/runBatch(): every packed evaluation reads
+/// its mapping from the query's stt::BlockMappingStore, and is exactly one
+/// of a miss (it ran the tile search of its mapping-class slot) or a hit
+/// (the slot was already searched). evaluate()/evaluateAll() search per
+/// spec and count nothing here.
+struct MappingCounts {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;  ///< tile searches performed
+};
+
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::size_t entries = 0;  ///< evaluations currently resident
   std::size_t shards = 0;
-  stt::MappingCacheStats mappings;  ///< tile-mapping memo traffic
+  MappingCounts mappings;
   std::string str() const;
 };
 
@@ -147,11 +160,6 @@ struct ServiceOptions {
   /// count; only the cache-traffic split (hits/misses vs pruned) varies.
   /// evaluateAll() never prunes (it materializes every report).
   bool enablePruning = true;
-  /// Capacity of the service's tile-mapping memo (see stt::MappingCache)
-  /// behind evaluate()/evaluateAll(); 0 disables it. The memo halves FPGA
-  /// evaluations (perf + cost both need the mapping) and is scoped to this
-  /// service, so one-shot cold explorations stay honestly cold.
-  std::size_t mappingCacheCapacity = 1u << 14;
 };
 
 class ExplorationService {
@@ -176,8 +184,8 @@ class ExplorationService {
 
   /// Every evaluated design point in enumeration order, priced by the
   /// scalar models and never pruned (the materializing contract behind
-  /// Session::exploreAll/compileBest, and the exhaustive reference the
-  /// run()/runBatch() differential tests fold frontiers from).
+  /// Session::exploreAll, and the exhaustive reference the run()/runBatch()
+  /// differential tests fold frontiers from).
   std::vector<DesignReport> evaluateAll(const ExploreQuery& query);
 
   /// Evaluates one already-analyzed spec through the cache (the path behind
@@ -189,12 +197,12 @@ class ExplorationService {
   /// Drops all cached evaluations and spec lists and zeroes the stats.
   void clearCache();
 
-  /// Serializes the warm state — every completed eval-cache entry, the
-  /// tile-mapping memo, and the process-wide candidate-matrix memo — into
-  /// a versioned, checksummed snapshot written atomically (tmp + rename;
-  /// see driver/snapshot.*). `fingerprint` is the cache-schema
-  /// compatibility string (snapshot::cacheSchemaFingerprint) a restore
-  /// must present again. Returns false on I/O failure or an injected
+  /// Serializes the warm state — every completed eval-cache entry and the
+  /// process-wide candidate-matrix memo — into a versioned, checksummed
+  /// snapshot written atomically (tmp + rename; see driver/snapshot.*).
+  /// `fingerprint` is the cache-schema compatibility string
+  /// (snapshot::cacheSchemaFingerprint) a restore must present again.
+  /// Returns false on I/O failure or an injected
   /// `snapshot_write=fail` fault; the previous snapshot, if any, is left
   /// intact on failure. Safe to call concurrently with queries (entries
   /// are exported under the shard locks).

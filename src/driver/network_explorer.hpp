@@ -6,8 +6,8 @@
 // algebra) onto one or more *candidate* shared array configurations. For
 // every candidate array the explorer runs each layer as an ExploreQuery —
 // all layers of all candidate arrays in ONE service batch, so repeated
-// layer shapes, the cross-query evaluation cache, the tile-mapping memo
-// and the lower-bound dominance cuts all apply — then composes the
+// layer shapes, the cross-query evaluation cache and the lower-bound
+// dominance cuts all apply — then composes the
 // per-layer frontiers under the shared-array execution model:
 //
 //   * layers time-share the array, so network cycles = SUM of layer cycles;

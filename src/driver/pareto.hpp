@@ -99,9 +99,8 @@ class ParetoFrontier {
 /// (independent of the entries' order):
 ///   Performance — max utilization; ties: min power, min area, min order.
 ///   Power       — min power among entries with utilization >= 0.9 * best
-///                 utilization (band edge inclusive, matching
-///                 Session::compileBest); ties: max utilization, min area,
-///                 min order.
+///                 utilization (band edge inclusive); ties: max
+///                 utilization, min area, min order.
 ///   EnergyDelay — min powerMw * cycles; ties: min cycles, min area,
 ///                 min order.
 /// nullopt iff `entries` is empty.

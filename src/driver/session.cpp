@@ -1,6 +1,5 @@
 #include "driver/session.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "arch/testbench.hpp"
@@ -55,48 +54,15 @@ std::vector<DesignReport> Session::exploreAll() const {
       sessionQuery(algebra_, array_, dataWidth_));
 }
 
-// Winner selection here intentionally keeps the seed semantics — first of
-// equal candidates in enumeration order wins — rather than delegating to
-// driver::pickBest, whose canonical tie-breaks (utilization, then area)
-// serve the service's order-independent frontier path. The two agree on
-// every strict winner; only exact ties can name different (equal-cost)
-// designs.
-DesignReport Session::compileBest(Objective objective) const {
-  std::vector<DesignReport> all = exploreAll();
-  TL_CHECK(!all.empty(), "design space is empty for " + algebra_.name());
-
-  switch (objective) {
-    case Objective::Performance: {
-      auto it = std::max_element(all.begin(), all.end(),
-                                 [](const DesignReport& a, const DesignReport& b) {
-                                   return a.perf.utilization < b.perf.utilization;
-                                 });
-      return std::move(*it);
-    }
-    case Objective::Power: {
-      const double bestUtil =
-          std::max_element(all.begin(), all.end(),
-                           [](const DesignReport& a, const DesignReport& b) {
-                             return a.perf.utilization < b.perf.utilization;
-                           })
-              ->perf.utilization;
-      DesignReport* pick = nullptr;
-      for (auto& r : all) {
-        if (r.perf.utilization < 0.9 * bestUtil) continue;
-        if (!pick || r.figures().powerMw < pick->figures().powerMw) pick = &r;
-      }
-      TL_CHECK(pick != nullptr, "no design within 10% of best performance");
-      return std::move(*pick);
-    }
-    case Objective::EnergyDelay: {
-      auto it = std::min_element(all.begin(), all.end(),
-                                 [](const DesignReport& a, const DesignReport& b) {
-                                   return a.energyDelay() < b.energyDelay();
-                                 });
-      return std::move(*it);
-    }
-  }
-  fail("unknown objective");
+DesignReport Session::compileBest(Objective objective,
+                                  std::size_t* designs) const {
+  ExploreQuery q = sessionQuery(algebra_, array_, dataWidth_);
+  q.objective = objective;
+  QueryResult result = ExplorationService::shared().run(q);
+  TL_CHECK(result.best.has_value(),
+           "design space is empty for " + algebra_.name());
+  if (designs != nullptr) *designs = result.designs;
+  return std::move(*result.best);
 }
 
 std::string Session::emitVerilog(const DesignReport& report) const {

@@ -6,7 +6,9 @@
 //   compileBest(objective)   — design-space exploration, pick the winner
 //   exploreAll()             — the full evaluated space (Fig. 5/6 material)
 // plus artifact generation (Verilog) and verification (RTL and behavioral)
-// for any produced design.
+// for any produced design. Both explorations go through the process-wide
+// ExplorationService: compileBest on its packed, pruned run() path,
+// exploreAll on its scalar reference.
 #pragma once
 
 #include <optional>
@@ -69,9 +71,13 @@ class Session {
   /// cached evaluations.
   std::vector<DesignReport> exploreAll() const;
 
-  /// Runs exploration and returns the best design per the objective.
-  /// Throws if the design space is empty.
-  DesignReport compileBest(Objective objective) const;
+  /// Explores through the shared service's run() and returns its objective
+  /// winner (driver::pickBest over the Pareto frontier; its objective value
+  /// is the best over exploreAll(), exact ties broken canonically). Stores
+  /// the explored design count in `*designs` when given. Throws if the
+  /// design space is empty.
+  DesignReport compileBest(Objective objective,
+                           std::size_t* designs = nullptr) const;
 
   /// Emits synthesizable Verilog for a design (throws for rank-2 outputs,
   /// which the netlist generator does not support).

@@ -38,10 +38,9 @@ std::string restoreStatusName(RestoreStatus status) {
 
 std::string cacheSchemaFingerprint(const stt::EnumerationOptions& defaults) {
   // "keys-v2" names the cache KEY schema (algebra/array/backend/spec key
-  // rendering in explore_service.cpp plus the mapping-memo key); bump it
-  // whenever any key function changes so stale snapshots cold-start
-  // instead of silently never hitting. The spec-defining enumeration knobs
-  // follow.
+  // rendering in explore_service.cpp); bump it whenever any key function
+  // changes so stale snapshots cold-start instead of silently never
+  // hitting. The spec-defining enumeration knobs follow.
   std::ostringstream os;
   os << "keys-v2;e" << defaults.maxEntry
      << (defaults.requireUnimodular ? "u" : "-")
@@ -118,21 +117,6 @@ std::string Reader::str() {
 // ---- cached-value codecs ---------------------------------------------------
 
 namespace {
-
-void writeIntVector(Writer& w, const linalg::IntVector& v) {
-  w.u64(v.size());
-  for (std::int64_t x : v) w.i64(x);
-}
-
-linalg::IntVector readIntVector(Reader& r) {
-  const std::uint64_t n = r.u64();
-  // Division form: `n * 8` can wrap in uint64 for a hostile count, letting
-  // a checksum-valid snapshot slip past the bound into a huge allocation.
-  if (n > r.remaining() / 8) overrun();
-  linalg::IntVector v(n);
-  for (std::uint64_t i = 0; i < n; ++i) v[i] = r.i64();
-  return v;
-}
 
 void writeInventory(Writer& w, const cost::StructureInventory& inv) {
   w.i64(inv.pes);
@@ -234,46 +218,6 @@ cost::CostReport readCost(Reader& r) {
     cost.fpga = std::move(f);
   }
   return cost;
-}
-
-void writeMapping(Writer& w, const stt::TileMapping& mapping) {
-  writeIntVector(w, mapping.fullTile);
-  w.i64(mapping.spatialRowsUsed);
-  w.i64(mapping.spatialColsUsed);
-  w.i64(mapping.replication);
-  w.i64(mapping.outerIterations);
-  w.u64(mapping.tiles.size());
-  for (const stt::TileCost& tile : mapping.tiles) {
-    writeIntVector(w, tile.shape);
-    w.i64(tile.count);
-    w.i64(tile.macs);
-    w.i64(tile.computeCycles);
-    w.i64(tile.trafficWords);
-    writeIntVector(w, tile.tensorFootprints);
-  }
-}
-
-stt::TileMapping readMapping(Reader& r) {
-  stt::TileMapping mapping;
-  mapping.fullTile = readIntVector(r);
-  mapping.spatialRowsUsed = r.i64();
-  mapping.spatialColsUsed = r.i64();
-  mapping.replication = r.i64();
-  mapping.outerIterations = r.i64();
-  const std::uint64_t tiles = r.u64();
-  if (tiles > r.remaining()) overrun();  // each tile is > 1 byte
-  mapping.tiles.reserve(tiles);
-  for (std::uint64_t i = 0; i < tiles; ++i) {
-    stt::TileCost tile;
-    tile.shape = readIntVector(r);
-    tile.count = r.i64();
-    tile.macs = r.i64();
-    tile.computeCycles = r.i64();
-    tile.trafficWords = r.i64();
-    tile.tensorFootprints = readIntVector(r);
-    mapping.tiles.push_back(std::move(tile));
-  }
-  return mapping;
 }
 
 void writeMatrix(Writer& w, const linalg::IntMatrix& m) {

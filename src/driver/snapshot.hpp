@@ -2,13 +2,13 @@
 //
 // A restarted exploration daemon answers the workload table warm only if
 // the expensive memoized state survives the process: the sharded eval
-// cache (perf + cost per design point), the tile-mapping memo, and the
-// candidate-matrix memo. This module provides the snapshot file format and
-// the byte-level codec those caches serialize through; the service-level
-// save/restore orchestration lives in ExplorationService::saveSnapshot /
-// restoreSnapshot (driver/explore_service.*).
+// cache (perf + cost per design point) and the candidate-matrix memo. This
+// module provides the snapshot file format and the byte-level codec those
+// caches serialize through; the service-level save/restore orchestration
+// lives in ExplorationService::saveSnapshot / restoreSnapshot
+// (driver/explore_service.*).
 //
-// File format (version 2, little-endian, see docs/PROTOCOL.md "Snapshot
+// File format (version 3, little-endian, see docs/PROTOCOL.md "Snapshot
 // format"):
 //
 //   magic     8 bytes  "TLSNAP1\n"
@@ -35,15 +35,15 @@
 #include "linalg/matrix.hpp"
 #include "sim/perf.hpp"
 #include "stt/enumerate.hpp"
-#include "stt/mapping.hpp"
 
 namespace tensorlib::driver::snapshot {
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'L', 'S', 'N',
                                            'A', 'P', '1', '\n'};
 /// Version 2 dropped the enumeration-engine bit from the candidate-memo
-/// flags; a version-1 file cold-starts through the version check.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// flags; version 3 dropped the tile-mapping section. Older files
+/// cold-start through the version check.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Why a restore did not (fully) happen. `Restored` is the only warm
 /// outcome; every other status means the service starts cold.
@@ -63,7 +63,6 @@ std::string restoreStatusName(RestoreStatus status);
 struct RestoreResult {
   RestoreStatus status = RestoreStatus::Missing;
   std::size_t evalEntries = 0;      ///< evaluations restored
-  std::size_t mappingEntries = 0;   ///< tile mappings restored
   std::size_t candidateLists = 0;   ///< candidate-matrix lists restored
   std::string message;              ///< warning detail for cold statuses
   bool restored() const { return status == RestoreStatus::Restored; }
@@ -125,9 +124,6 @@ sim::PerfResult readPerf(Reader& r);
 
 void writeCost(Writer& w, const cost::CostReport& cost);
 cost::CostReport readCost(Reader& r);
-
-void writeMapping(Writer& w, const stt::TileMapping& mapping);
-stt::TileMapping readMapping(Reader& r);
 
 void writeMatrix(Writer& w, const linalg::IntMatrix& m);
 linalg::IntMatrix readMatrix(Reader& r);

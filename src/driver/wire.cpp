@@ -1,6 +1,7 @@
 #include "driver/wire.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -22,13 +23,42 @@ Objective requireObjective(const std::string& name) {
   return *o;
 }
 
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/// The integer field `field` of `obj`, if present, range-checked.
+std::optional<std::int64_t> rangedInt(const support::JsonObject& obj,
+                                      const char* field, std::int64_t lo,
+                                      std::int64_t hi = kInt64Max) {
+  const auto v = obj.getInt(field);
+  if (v) checkRange(field, *v, lo, hi);
+  return v;
+}
+
+/// The number field `field` of `obj`, if present; it must be finite and > 0.
+std::optional<double> positiveDouble(const support::JsonObject& obj,
+                                     const char* field) {
+  const auto v = obj.getDouble(field);
+  if (v && !(std::isfinite(*v) && *v > 0.0))
+    fail(std::string(field) + " must be > 0, got " + std::to_string(*v));
+  return v;
+}
+
+/// The ASIC datapath width: 1 to 64 bits (the RTL codecs shift by width-1).
+std::optional<int> dataWidthField(const support::JsonObject& obj) {
+  const auto v = rangedInt(obj, "data_width", 1, 64);
+  if (!v) return std::nullopt;
+  return static_cast<int>(*v);
+}
+
 /// Applies the array fields every request kind shares.
 void parseArrayFields(const support::JsonObject& obj, stt::ArrayConfig* array) {
-  if (const auto v = obj.getInt("rows")) array->rows = *v;
-  if (const auto v = obj.getInt("cols")) array->cols = *v;
-  if (const auto v = obj.getDouble("bandwidth_gbps")) array->bandwidthGBps = *v;
-  if (const auto v = obj.getDouble("frequency_mhz")) array->frequencyMHz = *v;
-  if (const auto v = obj.getInt("data_bytes")) array->dataBytes = *v;
+  if (const auto v = rangedInt(obj, "rows", 1)) array->rows = *v;
+  if (const auto v = rangedInt(obj, "cols", 1)) array->cols = *v;
+  if (const auto v = positiveDouble(obj, "bandwidth_gbps"))
+    array->bandwidthGBps = *v;
+  if (const auto v = positiveDouble(obj, "frequency_mhz"))
+    array->frequencyMHz = *v;
+  if (const auto v = rangedInt(obj, "data_bytes", 1)) array->dataBytes = *v;
 }
 
 ExploreQuery parseQuery(const support::JsonObject& obj) {
@@ -58,12 +88,12 @@ ExploreQuery parseQuery(const support::JsonObject& obj) {
     q.backend = *kind;
   }
   parseArrayFields(obj, &q.array);
-  if (const auto v = obj.getInt("data_width")) q.dataWidth = static_cast<int>(*v);
+  if (const auto v = dataWidthField(obj)) q.dataWidth = *v;
   if (const auto v = obj.getInt("max_entry"))
     q.enumeration.maxEntry = checkMaxEntry(*v);
   if (const auto v = obj.getInt("deadline_ms")) q.deadlineMs = *v;
   if (const auto v = obj.getBool("fp32")) q.fpga.fp32 = *v;
-  if (const auto v = obj.getInt("vector_lanes")) q.fpga.vectorLanes = *v;
+  if (const auto v = rangedInt(obj, "vector_lanes", 1)) q.fpga.vectorLanes = *v;
   if (const auto v = obj.getBool("placement_optimized"))
     q.fpga.placementOptimized = *v;
   return q;
@@ -97,11 +127,11 @@ NetworkQuery parseNetworkQuery(const support::JsonObject& obj) {
     if (!kind) fail("unknown backend '" + *v + "' (expected asic|fpga)");
     q.backend = *kind;
   }
-  if (const auto v = obj.getInt("data_width")) q.dataWidth = static_cast<int>(*v);
+  if (const auto v = dataWidthField(obj)) q.dataWidth = *v;
   if (const auto v = obj.getInt("max_entry"))
     q.enumeration.maxEntry = checkMaxEntry(*v);
   if (const auto v = obj.getBool("fp32")) q.fpga.fp32 = *v;
-  if (const auto v = obj.getInt("vector_lanes")) q.fpga.vectorLanes = *v;
+  if (const auto v = rangedInt(obj, "vector_lanes", 1)) q.fpga.vectorLanes = *v;
   if (const auto v = obj.getBool("placement_optimized"))
     q.fpga.placementOptimized = *v;
   return q;
@@ -137,10 +167,10 @@ void parseModelConformance(const support::JsonObject& obj, Request* request) {
   parseArrayFields(obj, &o.array);
   if (const auto v = obj.getInt("data_seed"))
     o.dataSeed = static_cast<std::uint64_t>(*v);
-  if (const auto v = obj.getInt("threads"))
-    o.threads = static_cast<std::size_t>(std::max<std::int64_t>(1, *v));
-  if (const auto v = obj.getInt("data_width"))
-    o.dataWidth = static_cast<int>(*v);
+  if (const auto v = rangedInt(obj, "threads", 1,
+                               static_cast<std::int64_t>(kMaxThreads)))
+    o.threads = static_cast<std::size_t>(*v);
+  if (const auto v = dataWidthField(obj)) o.dataWidth = *v;
   if (const auto v = obj.getInt("max_entry"))
     o.enumeration.maxEntry = checkMaxEntry(*v);
   if (const auto v = obj.getBool("tamper_rtl_tape")) o.tamperRtlTape = *v;
@@ -166,12 +196,33 @@ void appendNetworkDesign(std::ostringstream& os, const NetworkQuery& q,
 
 }  // namespace
 
+std::int64_t checkRange(const char* field, std::int64_t value, std::int64_t lo,
+                        std::int64_t hi) {
+  if (value >= lo && value <= hi) return value;
+  const std::string range =
+      hi == kInt64Max ? ">= " + std::to_string(lo)
+                      : "in [" + std::to_string(lo) + ", " +
+                            std::to_string(hi) + "]";
+  fail(std::string(field) + " must be " + range + ", got " +
+       std::to_string(value));
+}
+
 int checkMaxEntry(std::int64_t value) {
-  constexpr std::int64_t kMax = std::numeric_limits<int>::max();
-  if (value < 1 || value > kMax)
-    fail("max_entry must be in [1, " + std::to_string(kMax) + "], got " +
-         std::to_string(value));
-  return static_cast<int>(value);
+  return static_cast<int>(
+      checkRange("max_entry", value, 1, std::numeric_limits<int>::max()));
+}
+
+std::optional<std::size_t> parseCount(const std::string& text,
+                                      std::size_t max) {
+  if (text.empty()) return std::nullopt;
+  std::size_t value = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    const std::size_t digit = static_cast<std::size_t>(c - '0');
+    if (digit > max || value > (max - digit) / 10) return std::nullopt;
+    value = value * 10 + digit;
+  }
+  return value;
 }
 
 Request parseRequest(const support::JsonObject& obj) {
@@ -315,8 +366,7 @@ std::string cacheStatsJson(const CacheStats& stats) {
      << ", \"evictions\": " << stats.evictions << ", \"entries\": "
      << stats.entries << ", \"shards\": " << stats.shards
      << ", \"mappings\": {\"hits\": " << stats.mappings.hits
-     << ", \"misses\": " << stats.mappings.misses << ", \"evictions\": "
-     << stats.mappings.evictions << ", \"entries\": " << stats.mappings.entries
+     << ", \"misses\": " << stats.mappings.misses
      << "}, \"candidates\": {\"hits\": " << cand.hits << ", \"misses\": "
      << cand.misses << ", \"evictions\": " << cand.evictions
      << ", \"entries\": " << cand.entries << "}}";

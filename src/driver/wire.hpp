@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -42,10 +43,28 @@ struct Request {
   std::string client;  ///< admission-fairness identity ("client" field)
 };
 
+/// The most threads one request field or CLI flag may ask for (the
+/// `threads` request field, --threads, --workers): far above what one host
+/// can use, far below what it can start, so a single request line or flag
+/// cannot exhaust the host's threads.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// The range check behind every integer request field: returns `value`, or
+/// throws tensorlib::Error naming `field` unless lo <= value <= hi.
+std::int64_t checkRange(const char* field, std::int64_t value, std::int64_t lo,
+                        std::int64_t hi);
+
 /// The one range check for a requested STT entry range, shared by every
 /// `max_entry` request field and the CLIs' --max-entry flag: returns the
 /// value as an int, or throws tensorlib::Error unless 1 <= value <= INT_MAX.
 int checkMaxEntry(std::int64_t value);
+
+/// Strict parse of a count-valued CLI flag (--threads, --workers,
+/// --max-frontier, ...): decimal digits only — no sign, space or trailing
+/// text — and at most `max`. nullopt on anything else, overflow included.
+std::optional<std::size_t> parseCount(
+    const std::string& text,
+    std::size_t max = std::numeric_limits<std::size_t>::max());
 
 /// Parses one already-decoded JSON line into a request. Throws
 /// tensorlib::Error (with the offending field) on anything malformed —
@@ -72,8 +91,8 @@ std::string networkResultLine(std::size_t index, const std::string& name,
 std::string modelConformanceResultLine(
     std::size_t index, const verify::ModelConformanceReport& report);
 
-/// Service-wide cache summary fragment: eval cache plus the tile-mapping
-/// and candidate-matrix memos (all three layers the snapshot persists).
+/// Service-wide cache summary fragment: eval cache, tile-search traffic
+/// (CacheStats::mappings) and the candidate-matrix memo.
 std::string cacheStatsJson(const CacheStats& stats);
 
 /// The closing {"shutdown": {...}} summary a draining server emits.

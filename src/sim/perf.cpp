@@ -103,14 +103,8 @@ PerfResult perfFromMapping(const stt::TileMapping& mapping,
 }
 
 PerfResult estimatePerformance(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& config,
-                               stt::MappingCache* mappings) {
-  if (mappings != nullptr) {
-    const auto mapping = mappings->get(spec, config);
-    return perfFromMapping(*mapping, config);
-  }
-  const stt::TileMapping mapping = stt::computeMapping(spec, config);
-  return perfFromMapping(mapping, config);
+                               const stt::ArrayConfig& config) {
+  return perfFromMapping(stt::computeMapping(spec, config), config);
 }
 
 std::int64_t cyclesLowerBound(const stt::DataflowSpec& spec,

@@ -29,12 +29,9 @@ struct PerfResult {
   std::string str() const;
 };
 
-/// Closed-form performance estimate of `spec` on `config`. When `mappings`
-/// is non-null the tile mapping is fetched through (and inserted into) the
-/// cache; results are bit-identical either way.
+/// Closed-form performance estimate of `spec` on `config`.
 PerfResult estimatePerformance(const stt::DataflowSpec& spec,
-                               const stt::ArrayConfig& config,
-                               stt::MappingCache* mappings = nullptr);
+                               const stt::ArrayConfig& config);
 
 /// Derives the ratio metrics (bandwidthBound, utilization, throughputGops)
 /// from the accumulated counters. Division-safe: zero cycles, zero PEs or a
@@ -65,8 +62,8 @@ std::int64_t cyclesLowerBound(const stt::DataflowSpec& spec,
                               const stt::ArrayConfig& config);
 
 /// cyclesLowerBound on packed data: the same arithmetic in the same order
-/// over SpecBlockSet slot `i`, bit-identical to the scalar overload on
-/// (*set.source)[i] (every term is sign-invariant, so the |.|-packed
+/// over SpecBlockSet slot `i`, bit-identical to the scalar overload on the
+/// spec packed there (every term is sign-invariant, so the |.|-packed
 /// coefficients lose nothing). This is the block pruning pass's inner loop:
 /// no spec, matrix or vector is touched, only contiguous int64 arrays.
 std::int64_t cyclesLowerBound(const stt::SpecBlockSet& set, std::size_t i,

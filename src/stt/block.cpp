@@ -19,10 +19,8 @@ void appendWords(std::string& key, const std::int64_t* words, std::size_t n) {
 }  // namespace
 
 std::shared_ptr<const SpecBlockSet> packSpecBlocks(
-    std::shared_ptr<const std::vector<DataflowSpec>> specs) {
+    const std::vector<DataflowSpec>& list) {
   auto set = std::make_shared<SpecBlockSet>();
-  set->source = specs;
-  const std::vector<DataflowSpec>& list = *specs;
   set->count = list.size();
   if (list.empty()) return set;
 
@@ -153,7 +151,6 @@ SelectionGeometry makeSelectionGeometry(const SpecContext& context) {
 }
 
 void resetSpecBlocks(SpecBlockSet& set, const SelectionGeometry& geometry) {
-  set.source.reset();
   set.count = 0;
   set.tensorsPerSpec = geometry.tensorCount;
   set.inputCount = geometry.inputCount;
@@ -372,8 +369,17 @@ const TileMapping& BlockMappingStore::get(const SpecBlockSet& set,
                                           std::size_t slot) {
   TL_CHECK(slot < count_, "block mapping slot out of range");
   Slot& s = slots_[slot];
-  std::call_once(s.once, [&] { s.mapping = computeMappingPacked(set, i, config); });
+  std::call_once(s.once, [&] {
+    s.mapping = computeMappingPacked(set, i, config);
+    s.searched = true;
+  });
   return s.mapping;
+}
+
+std::size_t BlockMappingStore::searches() const {
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < count_; ++k) n += slots_[k].searched ? 1 : 0;
+  return n;
 }
 
 }  // namespace tensorlib::stt

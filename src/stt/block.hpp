@@ -34,11 +34,6 @@ namespace tensorlib::stt {
 /// per-tensor rank, total MACs) are stored once. Tensors keep label order:
 /// inputs in formula order, the output last.
 struct SpecBlockSet {
-  /// The source specs (aliased, not copied): the driver still needs real
-  /// DataflowSpecs for frontier reports, and CostBackend's default block
-  /// entry points fall back to the scalar models on them.
-  std::shared_ptr<const std::vector<DataflowSpec>> source;
-
   std::size_t count = 0;           ///< specs in the set
   std::size_t tensorsPerSpec = 0;  ///< uniform across the list
   std::size_t inputCount = 0;      ///< algebra().inputs().size()
@@ -90,9 +85,9 @@ inline constexpr std::size_t kBlockMaxTensors = 8;
 inline constexpr std::size_t kBlockMaxRank = 8;
 
 /// Packs an enumerated list into a SpecBlockSet (built once per list and
-/// shared by every query over it). The returned set aliases `specs`.
+/// shared by every query over it). Slot i packs specs[i].
 std::shared_ptr<const SpecBlockSet> packSpecBlocks(
-    std::shared_ptr<const std::vector<DataflowSpec>> specs);
+    const std::vector<DataflowSpec>& specs);
 
 /// Everything the packed models read that is fixed by the (algebra,
 /// selection) pair alone — i.e. the transform-independent slice of a
@@ -132,10 +127,10 @@ struct PartialTransform {
 };
 
 /// Initializes `set` as an empty bound-first window over one selection:
-/// per-list constants come from the geometry, `source` stays null (no
-/// DataflowSpec exists yet — the driver materializes specs lazily, only for
-/// frontier keepers). Clears any previous window contents, so one set is
-/// reused across windows without reallocation.
+/// per-list constants come from the geometry (no DataflowSpec exists yet —
+/// the driver materializes specs lazily, only for frontier keepers). Clears
+/// any previous window contents, so one set is reused across windows
+/// without reallocation.
 void resetSpecBlocks(SpecBlockSet& set, const SelectionGeometry& geometry);
 
 /// Appends one survivor of the bound-first search: |T| from its matrix,
@@ -153,19 +148,19 @@ std::size_t appendSpecBlock(SpecBlockSet& set, const SelectionGeometry& geometry
 /// exactly the same read set as packSpecBlocks (extents, outer, |T|, |C|).
 void assignSpecBlockClasses(SpecBlockSet& set);
 
-/// computeMapping on packed data: bit-identical to
-/// computeMapping((*set.source)[i], config) — pinned by tests — but
-/// allocation-free until the winning mapping is materialized, and with
-/// monotone early exits in the tile search (spatial spans only grow with
-/// tile extents, so the first non-fitting candidate ends its loop).
+/// computeMapping on packed data: bit-identical to computeMapping on the
+/// spec packed in slot i — pinned by tests — but allocation-free until the
+/// winning mapping is materialized, and with monotone early exits in the
+/// tile search (spatial spans only grow with tile extents, so the first
+/// non-fitting candidate ends its loop).
 TileMapping computeMappingPacked(const SpecBlockSet& set, std::size_t i,
                                  const ArrayConfig& config);
 
-/// Per-query mapping store for block evaluation: one slot per mapping
-/// class (times the backend's operating-point fan-out), each computed once
-/// under a once_flag on first use. Unlike the keyed MappingCache there is
-/// no string key, no lock contention and no eviction — a slot index is the
-/// whole lookup.
+/// Per-query mapping store for block evaluation — the one tile-search memo
+/// of the exploration pipeline: one slot per mapping class (times the
+/// backend's operating-point fan-out), each computed once under a
+/// once_flag on first use. There is no key, no lock contention and no
+/// eviction — a slot index is the whole lookup.
 class BlockMappingStore {
  public:
   explicit BlockMappingStore(std::size_t slots);
@@ -175,11 +170,15 @@ class BlockMappingStore {
   const TileMapping& get(const SpecBlockSet& set, std::size_t i,
                          const ArrayConfig& config, std::size_t slot);
 
-  std::size_t slots() const { return count_; }
+  /// Tile searches run so far: one per slot ever filled. Read it only once
+  /// the evaluations that call get() have joined (the per-slot flags are
+  /// plain fields written under each slot's once_flag).
+  std::size_t searches() const;
 
  private:
   struct Slot {
     std::once_flag once;
+    bool searched = false;
     TileMapping mapping;
   };
   std::unique_ptr<Slot[]> slots_;

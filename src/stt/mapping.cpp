@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
-#include <numeric>
 
 #include "support/error.hpp"
 
@@ -172,166 +170,6 @@ TileMapping computeMapping(const DataflowSpec& spec, const ArrayConfig& config) 
   }
   TL_CHECK(!out.tiles.empty(), "mapping produced no tiles");
   return out;
-}
-
-namespace {
-
-/// Canonical cache key: exactly the values computeMapping reads, nothing
-/// more. The tile search and tile costing consume only ABSOLUTE transform
-/// and access coefficients (row/time spans and footprints are
-/// magnitude-based), the selected extents, the product of the outer loop
-/// extents, and the array configuration — so two specs whose transforms
-/// differ only in entry signs (e.g. mirror/time-reversal relatives that
-/// survive canonicalization through different dataflow letters) share one
-/// entry. On a maxEntry=2 GEMM space this collapses ~4k specs onto ~1.6k
-/// distinct tile searches. No hashing shortcut: equal keys provably mean
-/// equal mappings, so a collision can never hand back the wrong result.
-std::string mappingKey(const DataflowSpec& spec, const ArrayConfig& config) {
-  std::string key;
-  key.reserve(160);
-  const auto addInt = [&key](std::int64_t v) {
-    key += std::to_string(v);
-    key += ',';
-  };
-  for (std::int64_t e : spec.selection().extents()) addInt(e);
-  key += ';';
-  std::int64_t outer = 1;
-  for (std::size_t idx : spec.selection().outerIndices())
-    outer = linalg::checkedMul(outer, spec.algebra().loops()[idx].extent);
-  addInt(outer);
-  key += ';';
-  const linalg::IntMatrix& t = spec.transform().matrix();
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j) addInt(std::abs(t.at(i, j)));
-  for (const auto& role : spec.tensors()) {
-    key += '|';
-    const auto& coeff = role.access.coeff();
-    addInt(static_cast<std::int64_t>(coeff.rows()));
-    for (std::size_t d = 0; d < coeff.rows(); ++d)
-      for (std::size_t j = 0; j < coeff.cols(); ++j)
-        addInt(std::abs(coeff.at(d, j)));
-  }
-  key += '@';
-  addInt(config.rows);
-  addInt(config.cols);
-  addInt(config.dataBytes);
-  // Exact bit patterns, not decimal renderings: std::to_string's fixed six
-  // decimals would collide configs differing below 1e-6 and hand one the
-  // other's mapping.
-  const auto addDoubleBits = [&addInt](double v) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v), "double is not 64-bit");
-    std::memcpy(&bits, &v, sizeof(bits));
-    addInt(static_cast<std::int64_t>(bits));
-  };
-  addDoubleBits(config.frequencyMHz);
-  addDoubleBits(config.bandwidthGBps);
-  return key;
-}
-
-}  // namespace
-
-std::string MappingCacheStats::str() const {
-  return "hits=" + std::to_string(hits) + " misses=" + std::to_string(misses) +
-         " evictions=" + std::to_string(evictions) +
-         " entries=" + std::to_string(entries);
-}
-
-MappingCache::MappingCache(std::size_t capacity, std::size_t shardCount)
-    : shards_(shardCount > 0 ? shardCount : 1) {
-  perShardCapacity_ = std::max<std::size_t>(1, capacity / shards_.size());
-}
-
-std::shared_ptr<const TileMapping> MappingCache::get(const DataflowSpec& spec,
-                                                     const ArrayConfig& config) {
-  std::string key = mappingKey(spec, config);
-  Shard& shard = shards_[std::hash<std::string>{}(key) % shards_.size()];
-  {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      ++shard.hits;
-      return it->second;
-    }
-  }
-  // Compute outside the lock: concurrent misses on one key may both compute
-  // (identical results; first insert wins), but no caller ever blocks on
-  // another's tile search. Both racers count misses — `misses` reports tile
-  // searches actually performed, `hits` searches served from the cache.
-  auto mapping = std::make_shared<const TileMapping>(computeMapping(spec, config));
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.misses;
-  const auto [it, inserted] = shard.map.try_emplace(std::move(key), std::move(mapping));
-  if (inserted) {
-    shard.fifo.push_back(it->first);
-    while (shard.map.size() > perShardCapacity_) {
-      shard.map.erase(shard.fifo.front());
-      shard.fifo.pop_front();
-      ++shard.evictions;
-    }
-  }
-  return it->second;
-}
-
-MappingCacheStats MappingCache::stats() const {
-  MappingCacheStats out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.evictions += shard.evictions;
-    out.entries += shard.map.size();
-  }
-  return out;
-}
-
-void MappingCache::clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.map.clear();
-    shard.fifo.clear();
-    shard.hits = shard.misses = shard.evictions = 0;
-  }
-}
-
-std::vector<std::pair<std::string, std::shared_ptr<const TileMapping>>>
-MappingCache::exportEntries() const {
-  std::vector<std::pair<std::string, std::shared_ptr<const TileMapping>>> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const std::string& key : shard.fifo) {
-      const auto it = shard.map.find(key);
-      if (it != shard.map.end()) out.emplace_back(key, it->second);
-    }
-  }
-  return out;
-}
-
-std::size_t MappingCache::importEntries(
-    const std::vector<std::pair<std::string, std::shared_ptr<const TileMapping>>>&
-        entries) {
-  std::size_t inserted = 0;
-  for (const auto& [key, mapping] : entries) {
-    if (!mapping) continue;
-    Shard& shard = shards_[std::hash<std::string>{}(key) % shards_.size()];
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto [it, fresh] = shard.map.try_emplace(key, mapping);
-    if (!fresh) continue;
-    shard.fifo.push_back(it->first);
-    ++inserted;
-    while (shard.map.size() > perShardCapacity_) {
-      shard.map.erase(shard.fifo.front());
-      shard.fifo.pop_front();
-      ++shard.evictions;
-    }
-  }
-  return inserted;
-}
-
-std::shared_ptr<const TileMapping> computeMappingCached(
-    const DataflowSpec& spec, const ArrayConfig& config, MappingCache* cache) {
-  if (cache != nullptr) return cache->get(spec, config);
-  return std::make_shared<const TileMapping>(computeMapping(spec, config));
 }
 
 std::int64_t spatialSpan(const linalg::IntVector& direction, std::int64_t rows,

@@ -11,13 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "stt/spec.hpp"
@@ -74,68 +67,6 @@ TileMapping computeMapping(const DataflowSpec& spec, const ArrayConfig& config);
 /// footprint computeMapping uses for tile traffic).
 std::int64_t accessFootprint(const tensor::AffineAccess& access,
                              const linalg::IntVector& shape);
-
-struct MappingCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t entries = 0;
-  std::string str() const;
-};
-
-/// Sharded, bounded (FIFO per shard) memo for computeMapping results, keyed
-/// by computeMapping's exact read set — selected extents, outer-iteration
-/// product, |transform| and per-tensor |restricted access| coefficients,
-/// and the array configuration — so two specs share an entry iff
-/// computeMapping would provably return identical mappings (sign-relative
-/// transforms collapse: a maxEntry=2 GEMM space needs ~2.5x fewer tile
-/// searches). Thread-safe; intended to be owned by whoever batches
-/// evaluations (one per exploration service), keeping cold one-shot
-/// callers honest about their cost.
-class MappingCache {
- public:
-  explicit MappingCache(std::size_t capacity = 1u << 14,
-                        std::size_t shardCount = 8);
-
-  /// The memoized mapping of (spec, config); computes and inserts on miss.
-  std::shared_ptr<const TileMapping> get(const DataflowSpec& spec,
-                                         const ArrayConfig& config);
-
-  MappingCacheStats stats() const;
-  void clear();
-
-  /// The memo's resident records as opaque (key, mapping) pairs, in shard
-  /// then insertion order — the unit of snapshot/restore (see
-  /// driver/snapshot.*). Keys are produced internally by the exact-read-set
-  /// key function, so a restored record only ever answers a lookup that
-  /// would have recomputed the identical mapping.
-  std::vector<std::pair<std::string, std::shared_ptr<const TileMapping>>>
-  exportEntries() const;
-
-  /// Re-inserts exported records (insert-if-absent: resident entries win,
-  /// and per-shard FIFO capacity still applies). Counts as neither hit nor
-  /// miss; returns how many records were actually inserted.
-  std::size_t importEntries(
-      const std::vector<std::pair<std::string, std::shared_ptr<const TileMapping>>>&
-          entries);
-
- private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, std::shared_ptr<const TileMapping>> map;
-    std::deque<std::string> fifo;
-    std::uint64_t hits = 0, misses = 0, evictions = 0;
-  };
-
-  std::size_t perShardCapacity_;
-  std::vector<Shard> shards_;
-};
-
-/// computeMapping through an optional cache: memoized when `cache` is
-/// non-null, a fresh computation otherwise. Results are bit-identical
-/// either way (computeMapping is deterministic).
-std::shared_ptr<const TileMapping> computeMappingCached(
-    const DataflowSpec& spec, const ArrayConfig& config, MappingCache* cache);
 
 /// Spatial span (number of distinct positions) of the array along a rank-1
 /// reuse direction (dp1, dp2) — the multicast group size / systolic chain

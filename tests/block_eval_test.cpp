@@ -15,7 +15,8 @@
 //     exactly (EXPECT_EQ on doubles), on every enumerated spec checked.
 //   * Accounting: hits + misses + pruned + skipped == designs holds,
 //     including deadline-expired partial results where the whole untouched
-//     remainder counts as skipped.
+//     remainder counts as skipped; CacheStats::mappings counts one tile
+//     search per mapping class and every other packed evaluation as a hit.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -208,7 +209,7 @@ TEST(BlockPacked, MappingMatchesComputeMappingAcrossWorkloads) {
   for (const auto& w : wl::allWorkloads()) {
     const auto specs = enumerateSpecs(w.algebra, 120, !w.allowAllUnicast);
     ASSERT_FALSE(specs->empty()) << w.name;
-    const auto set = stt::packSpecBlocks(specs);
+    const auto set = stt::packSpecBlocks(*specs);
     ASSERT_EQ(set->count, specs->size());
     for (const int dataBytes : {2, 4}) {
       stt::ArrayConfig config;
@@ -247,7 +248,7 @@ TEST(BlockPacked, LowerBoundBlockEqualsScalarLowerBound) {
   const auto backends = {cost::makeAsicBackend(16), cost::makeFpgaBackend()};
   for (const auto& w : wl::allWorkloads()) {
     const auto specs = enumerateSpecs(w.algebra, 96, !w.allowAllUnicast);
-    const auto set = stt::packSpecBlocks(specs);
+    const auto set = stt::packSpecBlocks(*specs);
     stt::ArrayConfig array;
     array.rows = array.cols = 4;
     std::vector<std::size_t> indices(set->count);
@@ -274,7 +275,7 @@ TEST(BlockPacked, MappingClassesShareMappingsSoundly) {
   // class. Spot-check by comparing every spec's packed mapping against its
   // class representative's.
   const auto specs = enumerateSpecs(wl::gemm(8, 8, 8), 200, true);
-  const auto set = stt::packSpecBlocks(specs);
+  const auto set = stt::packSpecBlocks(*specs);
   EXPECT_GT(set->mapClassCount, 0u);
   EXPECT_LT(set->mapClassCount, set->count);  // dedup must actually bite
   stt::ArrayConfig config;
@@ -289,6 +290,51 @@ TEST(BlockPacked, MappingClassesShareMappingsSoundly) {
     else
       EXPECT_EQ(rep, cycles) << "spec " << i;
   }
+}
+
+// --- tile-search accounting -----------------------------------------------
+
+TEST(BlockMappingCounts, OneSearchPerMappingClassEveryOtherEvaluationAHit) {
+  ExploreQuery q(wl::gemm(16, 16, 16));
+  q.array.rows = q.array.cols = 4;
+  ServiceOptions options = serviceOptions(1);
+  options.enablePruning = false;
+
+  // The scalar reference searches per spec and counts nothing here.
+  ExplorationService scalar(options);
+  scalar.evaluateAll(q);
+  EXPECT_EQ(scalar.cacheStats().mappings.hits, 0u);
+  EXPECT_EQ(scalar.cacheStats().mappings.misses, 0u);
+
+  ExplorationService service(options);
+  const QueryResult r = service.run(q);
+  const CacheStats stats = service.cacheStats();
+  const auto packed =
+      stt::packSpecBlocks(stt::enumerateDesignSpace(q.algebra, q.enumeration));
+  EXPECT_EQ(stats.mappings.misses, packed->mapClassCount);
+  EXPECT_LT(stats.mappings.misses, stats.misses);  // classes actually share
+  EXPECT_EQ(stats.mappings.hits + stats.mappings.misses, stats.misses);
+  EXPECT_EQ(r.cache.misses, r.designs);
+
+  // A warm rerun is all evaluation-cache hits: no packed evaluation runs,
+  // so neither counter moves.
+  service.run(q);
+  EXPECT_EQ(service.cacheStats().mappings.hits, stats.mappings.hits);
+  EXPECT_EQ(service.cacheStats().mappings.misses, stats.mappings.misses);
+
+  // Bound-first windows keep their own stores; the split still covers
+  // every packed evaluation exactly once.
+  ExploreQuery boundFirst = q;
+  boundFirst.enumeration.boundFirst = true;
+  ExplorationService fresh(options);
+  fresh.run(boundFirst);
+  const CacheStats bf = fresh.cacheStats();
+  EXPECT_GT(bf.mappings.misses, 0u);
+  EXPECT_EQ(bf.mappings.hits + bf.mappings.misses, bf.misses);
+
+  fresh.clearCache();
+  EXPECT_EQ(fresh.cacheStats().mappings.hits, 0u);
+  EXPECT_EQ(fresh.cacheStats().mappings.misses, 0u);
 }
 
 }  // namespace

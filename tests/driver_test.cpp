@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "service_reference.hpp"
 #include "support/error.hpp"
 #include "tensor/workloads.hpp"
 
@@ -16,6 +17,12 @@ Session gemmSession(std::int64_t size, std::int64_t pes) {
   stt::ArrayConfig array;
   array.rows = array.cols = pes;
   return Session(wl::gemm(size, size, size), array);
+}
+
+Session depthwiseSession() {
+  stt::ArrayConfig array;
+  array.rows = array.cols = 8;
+  return Session(wl::depthwiseConv(16, 14, 14, 3, 3), array);
 }
 
 TEST(Session, CompileLabelRealizable) {
@@ -90,9 +97,7 @@ TEST(Session, EmitVerilogProducesModule) {
 TEST(Session, DepthwiseExplorationFindsChannelParallelDesigns) {
   // The generality claim: the best depthwise designs are NOT pure
   // systolic/stationary, which is why systolic-only generators lose there.
-  stt::ArrayConfig array;
-  array.rows = array.cols = 8;
-  Session s(wl::depthwiseConv(16, 14, 14, 3, 3), array);
+  const Session s = depthwiseSession();
   const auto best = s.compileBest(Objective::Performance);
   bool pureSystolic = true;
   for (const auto& role : best.spec.tensors()) {
@@ -101,6 +106,28 @@ TEST(Session, DepthwiseExplorationFindsChannelParallelDesigns) {
       pureSystolic = false;
   }
   EXPECT_FALSE(pureSystolic) << best.spec.describe();
+}
+
+TEST(Session, CompileBestIsTheReferenceWinner) {
+  // compileBest explores through the shared service's packed run(); its
+  // winner must be the one folded from the scalar exhaustive reference,
+  // and its design count that of the whole space.
+  for (const Session& s : {gemmSession(64, 8), depthwiseSession()}) {
+    for (const Objective objective :
+         {Objective::Performance, Objective::Power, Objective::EnergyDelay}) {
+      SCOPED_TRACE(s.algebra().name() + " " + objectiveName(objective));
+      ExploreQuery q(s.algebra());
+      q.array = s.array();
+      q.objective = objective;
+      ExplorationService reference(ServiceOptions{});
+      const QueryResult expected = referenceResult(reference, q);
+      std::size_t designs = 0;
+      const DesignReport best = s.compileBest(objective, &designs);
+      ASSERT_TRUE(expected.best.has_value());
+      expectSameReport(best, *expected.best);
+      EXPECT_EQ(designs, expected.designs);
+    }
+  }
 }
 
 }  // namespace

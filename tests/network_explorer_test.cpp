@@ -144,8 +144,8 @@ TEST(NetworkExplorerTest, BitIdenticalAcrossThreadsAndCacheStates) {
 }
 
 // explore() must match composing naive per-layer runs (fresh exhaustive
-// service per layer — no pruning, no mapping memo, no sharing) through the
-// same composition code path.
+// service per layer — no pruning, no sharing) through the same composition
+// code path.
 TEST(NetworkExplorerTest, ComposedMatchesNaivePerLayerExploration) {
   const NetworkQuery query = mlpQuery();
 
@@ -157,7 +157,6 @@ TEST(NetworkExplorerTest, ComposedMatchesNaivePerLayerExploration) {
     for (const auto& layer : query.network.layers()) {
       ServiceOptions cold;
       cold.enablePruning = false;
-      cold.mappingCacheCapacity = 0;
       ExplorationService freshService(cold);
       naive[a].push_back(
           freshService.run(layerQuery(query, query.arrays[a], layer)));

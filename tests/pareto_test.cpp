@@ -145,8 +145,8 @@ TEST(PickBest, PerformanceFullTieFallsBackToOrder) {
 }
 
 TEST(PickBest, PowerBandEdgeInclusive) {
-  // util exactly 0.9 * best (0.9 * 1.0) must stay in the band — the same
-  // `< 0.9 * best` exclusion Session::compileBest uses.
+  // util exactly 0.9 * best (0.9 * 1.0) must stay in the band: only
+  // `< 0.9 * best` is excluded (Objective::Power).
   std::vector<ParetoEntry> entries = {
       entry(10, 9, 1, 0, 1.0),
       entry(11, 5, 1, 1, 0.9),     // on the edge: eligible, cheapest

@@ -143,81 +143,5 @@ TEST(Mapping, TotalsScaleWithProblem) {
   }
 }
 
-void expectSameMapping(const TileMapping& a, const TileMapping& b) {
-  EXPECT_EQ(a.fullTile, b.fullTile);
-  EXPECT_EQ(a.spatialRowsUsed, b.spatialRowsUsed);
-  EXPECT_EQ(a.spatialColsUsed, b.spatialColsUsed);
-  EXPECT_EQ(a.replication, b.replication);
-  EXPECT_EQ(a.outerIterations, b.outerIterations);
-  ASSERT_EQ(a.tiles.size(), b.tiles.size());
-  for (std::size_t i = 0; i < a.tiles.size(); ++i) {
-    EXPECT_EQ(a.tiles[i].shape, b.tiles[i].shape);
-    EXPECT_EQ(a.tiles[i].count, b.tiles[i].count);
-    EXPECT_EQ(a.tiles[i].computeCycles, b.tiles[i].computeCycles);
-    EXPECT_EQ(a.tiles[i].trafficWords, b.tiles[i].trafficWords);
-    EXPECT_EQ(a.tiles[i].tensorFootprints, b.tiles[i].tensorFootprints);
-  }
-}
-
-TEST(MappingCache, CachedResultsAreBitIdenticalAndCounted) {
-  MappingCache cache(/*capacity=*/64, /*shardCount=*/2);
-  ArrayConfig cfg;
-  cfg.rows = cfg.cols = 8;
-  const auto spec = gemmSpec("MNK-SST", 16, 16, 16);
-
-  const auto first = cache.get(spec, cfg);
-  const auto again = cache.get(spec, cfg);
-  expectSameMapping(*first, computeMapping(spec, cfg));
-  EXPECT_EQ(first.get(), again.get());  // one shared entry, not a recompute
-
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(MappingCache, SignRelativeTransformsShareOneEntry) {
-  // computeMapping only reads |T| and |access| coefficients, so specs whose
-  // transforms differ in entry signs must collapse onto one tile search.
-  const auto g = tensor::workloads::gemm(12, 12, 12);
-  const LoopSelection sel(g, {0, 1, 2});
-  const auto ctx = makeSpecContext(g, sel);
-  const auto plus = analyzeDataflow(
-      ctx, SpaceTimeTransform(linalg::IntMatrix{{1, 0, 0}, {0, 1, 0}, {1, 1, 1}}));
-  const auto mixed = analyzeDataflow(
-      ctx, SpaceTimeTransform(linalg::IntMatrix{{1, 0, 0}, {0, 1, 0}, {1, -1, 1}}));
-
-  MappingCache cache;
-  ArrayConfig cfg;
-  cfg.rows = cfg.cols = 4;
-  const auto a = cache.get(plus, cfg);
-  const auto b = cache.get(mixed, cfg);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  expectSameMapping(*b, computeMapping(mixed, cfg));
-}
-
-TEST(MappingCache, BoundedFifoEvictsButStaysCorrect) {
-  MappingCache tiny(/*capacity=*/2, /*shardCount=*/1);
-  ArrayConfig cfg;
-  cfg.rows = cfg.cols = 4;
-  std::vector<DataflowSpec> specs;
-  for (std::int64_t size : {6, 8, 10, 12, 14})
-    specs.push_back(gemmSpec("MNK-SST", size, size, size));
-  for (const auto& spec : specs)
-    expectSameMapping(*tiny.get(spec, cfg), computeMapping(spec, cfg));
-  const auto stats = tiny.stats();
-  EXPECT_EQ(stats.misses, specs.size());
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.entries, 2u);
-  // Evicted keys recompute correctly.
-  expectSameMapping(*tiny.get(specs.front(), cfg),
-                    computeMapping(specs.front(), cfg));
-}
-
 }  // namespace
 }  // namespace tensorlib::stt

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "arch/model.hpp"
@@ -153,6 +154,8 @@ TEST(WireMaxEntry, OutOfRangeIsAParseErrorOnEveryRequestKind) {
       "{\"network\": \"mlp-3\", ",
       "{\"model_conformance\": \"mlp-3\", ",
   };
+  const std::string tooManyThreads =
+      std::to_string(driver::wire::kMaxThreads + 1);
   for (const std::string& head : requests) {
     for (const char* bad : {"0", "-1", "2147483648", "4294967297"}) {
       SCOPED_TRACE(head + bad);
@@ -160,6 +163,32 @@ TEST(WireMaxEntry, OutOfRangeIsAParseErrorOnEveryRequestKind) {
                        head + "\"max_entry\": " + bad + "}")),
                    Error);
     }
+    // The numeric fields every kind shares: array geometry, word size,
+    // clock, bandwidth and datapath width.
+    for (const char* bad :
+         {"\"rows\": 0", "\"rows\": -3", "\"cols\": 0", "\"data_bytes\": 0",
+          "\"data_width\": -7", "\"data_width\": 0", "\"data_width\": 65",
+          "\"frequency_mhz\": 0", "\"frequency_mhz\": -320",
+          "\"bandwidth_gbps\": 0", "\"bandwidth_gbps\": -1.5"}) {
+      SCOPED_TRACE(head + bad);
+      EXPECT_THROW(driver::wire::parseRequest(
+                       support::parseJsonLine(head + bad + "}")),
+                   Error);
+    }
+  }
+  for (const std::string& head : {requests[0], requests[1]})
+    for (const char* bad : {"0", "-2"}) {
+      SCOPED_TRACE(head + bad);
+      EXPECT_THROW(driver::wire::parseRequest(support::parseJsonLine(
+                       head + "\"vector_lanes\": " + bad + "}")),
+                   Error);
+    }
+  for (const std::string& bad :
+       {std::string("0"), std::string("-1"), tooManyThreads}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(driver::wire::parseRequest(support::parseJsonLine(
+                     requests[2] + "\"threads\": " + bad + "}")),
+                 Error);
   }
 
   const auto query = driver::wire::parseRequest(support::parseJsonLine(
@@ -174,6 +203,43 @@ TEST(WireMaxEntry, OutOfRangeIsAParseErrorOnEveryRequestKind) {
 
   EXPECT_EQ(driver::wire::checkMaxEntry(1), 1);
   EXPECT_THROW(driver::wire::checkMaxEntry(0), Error);
+
+  // The range edges are accepted.
+  const auto edges = driver::wire::parseRequest(support::parseJsonLine(
+      requests[2] + "\"rows\": 1, \"cols\": 1, \"data_bytes\": 1, "
+                    "\"data_width\": 64, \"threads\": " +
+      std::to_string(driver::wire::kMaxThreads) + "}"));
+  EXPECT_EQ(edges.modelOptions.array.rows, 1);
+  EXPECT_EQ(edges.modelOptions.dataWidth, 64);
+  EXPECT_EQ(edges.modelOptions.threads, driver::wire::kMaxThreads);
+  const auto lanes = driver::wire::parseRequest(support::parseJsonLine(
+      requests[0] + "\"vector_lanes\": 1, \"data_width\": 1, "
+                    "\"frequency_mhz\": 0.5, \"bandwidth_gbps\": 0.25}"));
+  EXPECT_EQ(lanes.query->fpga.vectorLanes, 1);
+  EXPECT_EQ(lanes.query->dataWidth, 1);
+  EXPECT_EQ(lanes.query->array.frequencyMHz, 0.5);
+}
+
+TEST(WireCount, StrictDigitsWithinTheCap) {
+  using driver::wire::parseCount;
+  EXPECT_EQ(parseCount("0"), 0u);
+  EXPECT_EQ(parseCount("8", 8), 8u);
+  EXPECT_EQ(parseCount("18446744073709551615"),
+            std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(parseCount(std::to_string(driver::wire::kMaxThreads),
+                       driver::wire::kMaxThreads),
+            driver::wire::kMaxThreads);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "4x", "0x10", "1e3",
+                          "18446744073709551616", "99999999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(parseCount(bad).has_value());
+  }
+  EXPECT_FALSE(parseCount("9", 8).has_value());
+  EXPECT_FALSE(parseCount("10", 9).has_value());
+  EXPECT_FALSE(parseCount("1", 0).has_value());
+  EXPECT_FALSE(parseCount(std::to_string(driver::wire::kMaxThreads + 1),
+                          driver::wire::kMaxThreads)
+                   .has_value());
 }
 
 TEST(ModelConformance, WireResultLineCarriesVerdictAndDivergence) {

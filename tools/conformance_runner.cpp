@@ -17,12 +17,15 @@
 // oracle to whole models: per-layer exploration winners stitched into ONE
 // compiled netlist with inter-layer buffers, executed element-exactly
 // against the composed dense reference (src/verify/model_conformance.*).
-// Exit code 0 iff everything conformed.
+// Exit code 0 iff everything conformed; 2 on usage errors, including a
+// count flag that is not plain digits within its cap.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "driver/wire.hpp"
 #include "support/error.hpp"
 #include "tensor/network.hpp"
 #include "tensor/workloads.hpp"
@@ -55,7 +58,8 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string workload, model;
-  std::int64_t seeds = 0, seedBase = 1, networkSeeds = 0, threads = 1;
+  std::int64_t seeds = 0, seedBase = 1, networkSeeds = 0;
+  std::size_t threads = 1;
   std::int64_t timeBudgetMs = 0;
   bool shrink = true, list = false;
   verify::ConformanceOptions options;
@@ -67,18 +71,28 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) { usage(); std::exit(2); }
         return argv[++i];
       };
+      auto count = [&](std::size_t max =
+                           std::numeric_limits<std::size_t>::max()) {
+        const auto v = driver::wire::parseCount(next(), max);
+        if (!v) { usage(); std::exit(2); }
+        return *v;
+      };
+      constexpr auto kSeedMax =
+          static_cast<std::size_t>(std::numeric_limits<std::int64_t>::max());
       if (a == "--workload") workload = next();
-      else if (a == "--seeds") seeds = std::stoll(next());
+      else if (a == "--seeds")
+        seeds = static_cast<std::int64_t>(count(kSeedMax));
       else if (a == "--seed-base") seedBase = std::stoll(next());
       else if (a == "--data-seed") options.dataSeed = std::stoull(next());
       else if (a == "--rows") options.array.rows = std::stoll(next());
       else if (a == "--cols") options.array.cols = std::stoll(next());
-      else if (a == "--max-specs") options.maxSpecsPerSelection = std::stoull(next());
-      else if (a == "--max-rtl") options.maxRtlSpecs = std::stoull(next());
+      else if (a == "--max-specs") options.maxSpecsPerSelection = count();
+      else if (a == "--max-rtl") options.maxRtlSpecs = count();
       else if (a == "--time-budget-ms") timeBudgetMs = std::stoll(next());
       else if (a == "--model") model = next();
-      else if (a == "--network-seeds") networkSeeds = std::stoll(next());
-      else if (a == "--threads") threads = std::stoll(next());
+      else if (a == "--network-seeds")
+        networkSeeds = static_cast<std::int64_t>(count(kSeedMax));
+      else if (a == "--threads") threads = count(driver::wire::kMaxThreads);
       else if (a == "--no-shrink") shrink = false;
       else if (a == "--list") list = true;
       else return usage();
@@ -109,7 +123,7 @@ int main(int argc, char** argv) {
   verify::ModelConformanceOptions modelOptions;
   modelOptions.array = options.array;
   modelOptions.dataSeed = options.dataSeed;
-  modelOptions.threads = static_cast<std::size_t>(threads > 0 ? threads : 1);
+  modelOptions.threads = threads > 0 ? threads : 1;
 
   // --- Scenario table ---------------------------------------------------
   const bool modelMode = !model.empty() || networkSeeds > 0;

@@ -26,11 +26,11 @@
 //
 // Batch mode runs the whole stream against ONE ExplorationService: plain
 // queries as one batch, network queries through a NetworkExplorer borrowing
-// the same service, so every request shares enumerations, design-point
-// evaluations and the tile-mapping memo. Output is JSON lines, one result
-// per request in input order, plus a trailing batch summary with
-// service-wide cache stats. A malformed line yields a structured
-// {"query": i, "error": "..."} response and the batch continues.
+// the same service, so every request shares enumerations and design-point
+// evaluations. Output is JSON lines, one result per request in input order,
+// plus a trailing batch summary with service-wide cache stats. A malformed
+// line yields a structured {"query": i, "error": "..."} response and the
+// batch continues.
 //
 // --serve mode wraps an ExplorationDaemon instead: requests are admitted
 // into a bounded, per-client-fair queue (or rejected with
@@ -45,12 +45,14 @@
 // front-ends through kill/restart/corrupt/disconnect cycles.
 //
 // Exit codes (uniform across the CLIs): 0 success, 1 exploration/runtime
-// failure, 2 usage or request-parse errors (including any malformed batch
-// line, even though the batch itself still completes).
+// failure, 2 usage or request-parse errors (including any malformed or
+// out-of-range batch line, even though the batch itself still completes,
+// and any count flag that is not plain digits within its cap).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -93,11 +95,11 @@ int usage() {
 void reportRestore(const driver::ExplorationDaemon& daemon) {
   const auto& restore = daemon.restore();
   std::fprintf(stderr,
-               "explore_server: serving (restore %s: %zu evals, %zu mappings, "
+               "explore_server: serving (restore %s: %zu evals, "
                "%zu candidate lists%s%s)\n",
                driver::snapshot::restoreStatusName(restore.status).c_str(),
-               restore.evalEntries, restore.mappingEntries,
-               restore.candidateLists, restore.message.empty() ? "" : " — ",
+               restore.evalEntries, restore.candidateLists,
+               restore.message.empty() ? "" : " — ",
                restore.message.c_str());
 }
 
@@ -246,25 +248,32 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) { usage(); std::exit(2); }
         return argv[++i];
       };
+      auto count = [&](std::size_t max =
+                           std::numeric_limits<std::size_t>::max()) {
+        const auto v = driver::wire::parseCount(next(), max);
+        if (!v) { usage(); std::exit(2); }
+        return *v;
+      };
       if (a == "--file") file = next();
-      else if (a == "--threads") threads = std::stoull(next());
-      else if (a == "--max-frontier") maxFrontier = std::stoull(next());
+      else if (a == "--threads") threads = count(driver::wire::kMaxThreads);
+      else if (a == "--max-frontier") maxFrontier = count();
       else if (a == "--list-workloads") listWorkloads = true;
       else if (a == "--serve") serveMode = true;
       else if (a == "--snapshot") daemonOptions.snapshotPath = next();
       else if (a == "--snapshot-interval-ms")
         daemonOptions.snapshotIntervalMs = std::stoll(next());
-      else if (a == "--queue-bound") daemonOptions.queueBound = std::stoull(next());
+      else if (a == "--queue-bound") daemonOptions.queueBound = count();
       else if (a == "--client-queue-bound")
-        daemonOptions.perClientQueueBound = std::stoull(next());
-      else if (a == "--workers") daemonOptions.workers = std::stoull(next());
+        daemonOptions.perClientQueueBound = count();
+      else if (a == "--workers")
+        daemonOptions.workers = count(driver::wire::kMaxThreads);
       else if (a == "--default-deadline-ms")
         daemonOptions.defaultDeadlineMs = std::stoll(next());
       else if (a == "--port") socketOptions.port = std::stoi(next());
       else if (a == "--bind") socketOptions.bindAddress = next();
       else if (a == "--unix-socket") socketOptions.unixSocketPath = next();
       else if (a == "--write-queue-bound")
-        socketOptions.writeQueueBound = std::stoull(next());
+        socketOptions.writeQueueBound = count();
       else if (a == "--send-buffer-bytes")
         socketOptions.sendBufferBytes = std::stoi(next());
       else return usage();

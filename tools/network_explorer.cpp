@@ -6,14 +6,18 @@
 //   network_explorer --list-models
 //
 // Runs every (candidate array, layer) pair as ONE ExplorationService batch
-// (shared evaluation cache, tile-mapping memo, lower-bound pruning), then
-// composes the per-layer Pareto frontiers under the shared-array execution
-// model: network cycles = sum over layers, network power/area = max over
-// the chosen per-layer designs. Prints the network frontier with each
-// design's per-layer dataflow assignment, the objective winner, and the
-// service cache stats (repeated layer shapes show up as cache hits).
+// (shared evaluation cache, lower-bound pruning, one tile search per
+// mapping class), then composes the per-layer Pareto frontiers under the
+// shared-array execution model: network cycles = sum over layers, network
+// power/area = max over the chosen per-layer designs. Prints the network
+// frontier with each design's per-layer dataflow assignment, the objective
+// winner, and the service cache stats (repeated layer shapes show up as
+// cache hits; the mappings=[...] counters are tile searches run and
+// reused). Exit codes: 0 success, 1 exploration failure, 2 usage or input
+// errors (including a count flag that is not plain digits within its cap).
 // docs/PROTOCOL.md documents the JSONL model format.
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -77,6 +81,12 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) { usage(); std::exit(2); }
         return argv[++i];
       };
+      auto count = [&](std::size_t max =
+                           std::numeric_limits<std::size_t>::max()) {
+        const auto v = driver::wire::parseCount(next(), max);
+        if (!v) { usage(); std::exit(2); }
+        return *v;
+      };
       if (a == "--model") model = next();
       else if (a == "--file") file = next();
       else if (a == "--arrays") arraysArg = next();
@@ -88,8 +98,8 @@ int main(int argc, char** argv) {
       else if (a == "--data-width") dataWidth = std::stoi(next());
       else if (a == "--max-entry")
         maxEntry = driver::wire::checkMaxEntry(std::stoll(next()));
-      else if (a == "--threads") threads = std::stoull(next());
-      else if (a == "--max-frontier") maxFrontier = std::stoull(next());
+      else if (a == "--threads") threads = count(driver::wire::kMaxThreads);
+      else if (a == "--max-frontier") maxFrontier = count();
       else if (a == "--objective") {
         const auto o = driver::parseObjective(next());
         if (!o) return usage();

@@ -115,9 +115,10 @@ int main(int argc, char** argv) {
         explore == "power" ? driver::Objective::Power
         : explore == "edp" ? driver::Objective::EnergyDelay
                            : driver::Objective::Performance;
-    report = session.compileBest(obj);
-    std::printf("explored %zu designs; best for '%s':\n",
-                session.exploreAll().size(), explore.c_str());
+    std::size_t designs = 0;
+    report = session.compileBest(obj, &designs);
+    std::printf("explored %zu designs; best for '%s':\n", designs,
+                explore.c_str());
   }
 
   std::printf("%s\n", report->summary().c_str());
