@@ -57,8 +57,7 @@ struct DaemonReport {
 DaemonReport benchDaemon(int maxEntry, const std::string& snapshotPath) {
   DaemonReport r;
   const auto batch = bench::serviceScenarioBatch(maxEntry);
-  const std::string fingerprint =
-      driver::snapshot::cacheSchemaFingerprint(batch[0].enumeration);
+  const std::string fingerprint = driver::snapshot::cacheSchemaFingerprint();
 
   // --- cold: empty process-wide candidate memo, fresh service.
   std::vector<driver::QueryResult> cold;

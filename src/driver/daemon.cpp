@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <future>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -36,7 +37,7 @@ struct ExplorationDaemon::Impl {
   explicit Impl(DaemonOptions opts)
       : options(std::move(opts)),
         service(options.service),
-        fingerprint(snapshot::cacheSchemaFingerprint(options.enumerationDefaults)) {
+        fingerprint(snapshot::cacheSchemaFingerprint()) {
     if (!options.snapshotPath.empty()) {
       restoreResult = service.restoreSnapshot(options.snapshotPath, fingerprint);
     }

@@ -36,10 +36,6 @@ struct DaemonOptions {
   std::string snapshotPath;
   /// Periodic snapshot interval; 0 = snapshot only on graceful shutdown.
   std::int64_t snapshotIntervalMs = 0;
-  /// The enumeration defaults baked into the snapshot compatibility
-  /// fingerprint (snapshot::cacheSchemaFingerprint): a snapshot written
-  /// under different spec-defining defaults cold-starts.
-  stt::EnumerationOptions enumerationDefaults;
   /// Admission queue bounds: total queued requests, and queued requests
   /// per client. Exceeding either rejects with Admission::Overloaded.
   std::size_t queueBound = 64;

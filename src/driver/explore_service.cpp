@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -44,18 +44,21 @@ std::string enumKey(const stt::EnumerationOptions& o) {
   std::ostringstream os;
   os << "e" << o.maxEntry << (o.requireUnimodular ? "u" : "-")
      << (o.canonicalize ? "c" : "-") << (o.dedupeBySignature ? "d" : "-")
-     << (o.dropFullReuse ? "f" : "-") << (o.dropAllUnicast ? "a" : "-")
-     << (o.boundFirst ? "b" : "-");
+     << (o.dropFullReuse ? "f" : "-") << (o.dropAllUnicast ? "a" : "-");
   return os.str();
 }
 
-std::string specKey(const stt::DataflowSpec& spec) {
-  // The selection's loop INDICES are part of the key: labels abbreviate
-  // loops to initials, so two selections over same-initial loops (e.g.
-  // {m,n,ka} and {m,n,kb}) would otherwise collide at equal transforms.
+/// A candidate's evaluation-cache key suffix, "i.j.k.|letters|matrix" — the
+/// one rendering list and bound-first queries share, so both modes hit
+/// each other's entries. The selection's loop INDICES are part of the key:
+/// labels abbreviate loops to initials, so two selections over
+/// same-initial loops (e.g. {m,n,ka} and {m,n,kb}) would otherwise collide
+/// at equal transforms.
+std::string specKey(const stt::LoopSelection& selection,
+                    std::string_view letters, const linalg::IntMatrix& matrix) {
   std::ostringstream os;
-  for (std::size_t idx : spec.selection().indices()) os << idx << ".";
-  os << "|" << spec.letters() << "|" << spec.transform().str();
+  for (std::size_t idx : selection.indices()) os << idx << ".";
+  os << "|" << letters << "|" << matrix.str();
   return os.str();
 }
 
@@ -69,12 +72,6 @@ std::uint64_t partialBoundKey(const stt::PartialTransform& p) {
   for (int j = 0; j < 3; ++j)
     k = (k << 10) | static_cast<std::uint64_t>(p.absRow1[j] & 1023);
   return k;
-}
-
-std::shared_ptr<const cost::CostBackend> makeBackend(const ExploreQuery& q) {
-  return q.backend == cost::BackendKind::Asic
-             ? cost::makeAsicBackend(q.dataWidth)
-             : cost::makeFpgaBackend(q.fpga);
 }
 
 ParetoEntry paretoEntryOf(const sim::PerfResult& perf,
@@ -113,13 +110,6 @@ struct Deadline {
   }
 };
 
-/// A bound-first query's search inputs, one entry per loop selection.
-struct BoundFirstQueryData {
-  std::vector<stt::SpecContextPtr> contexts;
-  std::vector<stt::SelectionGeometry> geometries;
-  std::vector<std::string> selKeyPrefixes;  ///< "0.1.2.|" per selection
-};
-
 /// What one work unit accumulates; merged per query in unit order.
 struct UnitOut {
   ParetoFrontier frontier;
@@ -132,6 +122,13 @@ struct UnitOut {
 };
 
 }  // namespace
+
+std::shared_ptr<const cost::CostBackend> makeBackend(
+    const ExploreQuery& query) {
+  return query.backend == cost::BackendKind::Asic
+             ? cost::makeAsicBackend(query.dataWidth)
+             : cost::makeFpgaBackend(query.fpga);
+}
 
 std::string CacheStats::str() const {
   std::ostringstream os;
@@ -209,12 +206,6 @@ struct ExplorationService::Impl {
   std::unordered_map<std::string, std::shared_ptr<SpecListEntry>> specMap;
   std::deque<std::string> specFifo;
 
-  // In-flight submit() runs; the destructor waits for zero so a future
-  // that outlives the service cannot touch freed state.
-  std::mutex pendingMutex;
-  std::condition_variable pendingDone;
-  std::size_t pendingSubmits = 0;
-
   explicit Impl(ServiceOptions opts)
       : options(resolve(opts)), pool(options.threads - 1), shards(options.shardCount) {}
 
@@ -256,33 +247,26 @@ struct ExplorationService::Impl {
     }
     ++shard.misses;
     auto entry = std::make_shared<EvalEntry>();
-    shard.map.emplace(key, entry);
+    insertLocked(shard, key, entry);
+    return {entry, false};
+  }
+
+  /// Inserts `entry` under `key` into `shard` (whose lock the caller
+  /// holds), FIFO-evicting past the per-shard capacity.
+  void insertLocked(EvalShard& shard, const std::string& key,
+                    std::shared_ptr<EvalEntry> entry) {
+    shard.map.emplace(key, std::move(entry));
     shard.fifo.push_back(key);
     while (shard.map.size() > perShardCapacity()) {
       shard.map.erase(shard.fifo.front());
       shard.fifo.pop_front();
       ++shard.evictions;
     }
-    return {entry, false};
   }
 
-  /// Scalar-model evaluation, behind evaluate()/evaluateAll() only.
-  const EvalEntry& force(const std::shared_ptr<EvalEntry>& entry,
-                         const stt::DataflowSpec& spec,
-                         const stt::ArrayConfig& array,
-                         const cost::CostBackend& backend) {
-    std::call_once(entry->once, [&] {
-      entry->perf = backend.estimatePerf(spec, array);
-      entry->cost = backend.evaluate(spec, array);
-      entry->ready.store(true, std::memory_order_release);
-    });
-    return *entry;
-  }
-
-  /// Packed-model evaluation, behind run()/runBatch(). It produces the same
-  /// values as force() for the same spec (the equivalence contract), so
-  /// whichever wins an entry's once_flag, every waiter reads identical
-  /// results. Returns true iff this call ran the evaluation.
+  /// Packed-model evaluation under the entry's once_flag: whichever unit
+  /// wins it, every waiter reads identical results. Returns true iff this
+  /// call ran the evaluation.
   bool forceBlock(const std::shared_ptr<EvalEntry>& entry,
                   const stt::SpecBlockSet& set, std::size_t i,
                   const stt::ArrayConfig& array,
@@ -314,13 +298,7 @@ struct ExplorationService::Impl {
       entry->cost = cost;
       entry->ready.store(true, std::memory_order_release);
     });
-    shard.map.emplace(key, std::move(entry));
-    shard.fifo.push_back(key);
-    while (shard.map.size() > perShardCapacity()) {
-      shard.map.erase(shard.fifo.front());
-      shard.fifo.pop_front();
-      ++shard.evictions;
-    }
+    insertLocked(shard, key, std::move(entry));
     return true;
   }
 
@@ -348,7 +326,8 @@ struct ExplorationService::Impl {
       entry->block = stt::packSpecBlocks(*entry->specs);
       entry->specKeys.reserve(entry->specs->size());
       for (const stt::DataflowSpec& spec : *entry->specs)
-        entry->specKeys.push_back(specKey(spec));
+        entry->specKeys.push_back(specKey(spec.selection(), spec.letters(),
+                                          spec.transform().matrix()));
     });
     return entry;
   }
@@ -437,17 +416,21 @@ struct ExplorationService::Impl {
   /// incumbent the partial-transform cut prices against (one unit per
   /// query, so there is nothing to snapshot). DataflowSpecs are
   /// materialized lazily, only for frontier keepers.
-  void runBoundFirst(UnitRun& run, const BoundFirstQueryData& bf,
-                     Deadline& deadline) {
+  void runBoundFirst(UnitRun& run, Deadline& deadline) {
     UnitOut& out = run.out;
     stt::SpecBlockSet window;
     std::vector<linalg::IntMatrix> matrices;  ///< signed, for lazy analyze
     std::vector<std::string> keySuffixes;
     std::unordered_map<std::uint64_t, cost::CostBound> boundMemo;
     std::size_t emitted = 0;  ///< representatives so far: the frontier order
-    for (std::size_t s = 0; s < bf.contexts.size(); ++s) {
+    const tensor::TensorAlgebra& algebra = run.query.algebra;
+    for (const stt::LoopSelection& selection :
+         stt::allLoopSelections(algebra)) {
       if (deadline.expired()) break;  // unreached candidates are not designs
-      const stt::SelectionGeometry& geometry = bf.geometries[s];
+      const stt::SpecContextPtr context =
+          stt::makeSpecContext(algebra, selection);
+      const stt::SelectionGeometry geometry =
+          stt::makeSelectionGeometry(*context);
       boundMemo.clear();  // the partial bound reads this geometry
       const auto resetWindow = [&] {
         stt::resetSpecBlocks(window, geometry);
@@ -466,7 +449,7 @@ struct ExplorationService::Impl {
           runBlock(run, window, 0, count, emitted - count, keySuffixes, store,
                    [&](std::size_t i) {
                      return stt::analyzeDataflow(
-                         bf.contexts[s], stt::SpaceTimeTransform(matrices[i]));
+                         context, stt::SpaceTimeTransform(matrices[i]));
                    });
           out.searches += store.searches();
         }
@@ -500,15 +483,14 @@ struct ExplorationService::Impl {
                              c.absDir, c.systolicDt,
                              geometry.selectionLabel + "-" + c.letters);
         matrices.push_back(*c.matrix);
-        keySuffixes.push_back(bf.selKeyPrefixes[s] + c.letters + "|" +
-                              c.matrix->str());
+        keySuffixes.push_back(specKey(selection, c.letters, *c.matrix));
         ++emitted;
         ++out.designs;
         if (window.count >= kBlockSpecs) flushWindow();
       };
       if (deadline.armed) hooks.shouldStop = [&] { return deadline.expired(); };
       const stt::BoundFirstStats st = stt::enumerateBoundFirst(
-          bf.contexts[s], geometry, run.query.enumeration, hooks);
+          context, geometry, run.query.enumeration, hooks);
       if (st.stopped) {
         out.skipped += window.count;
         break;
@@ -521,10 +503,7 @@ struct ExplorationService::Impl {
 ExplorationService::ExplorationService(ServiceOptions options)
     : impl_(std::make_unique<Impl>(options)) {}
 
-ExplorationService::~ExplorationService() {
-  std::unique_lock<std::mutex> lock(impl_->pendingMutex);
-  impl_->pendingDone.wait(lock, [&] { return impl_->pendingSubmits == 0; });
-}
+ExplorationService::~ExplorationService() = default;
 
 std::vector<QueryResult> ExplorationService::runBatch(
     const std::vector<ExploreQuery>& batch) {
@@ -536,35 +515,20 @@ std::vector<QueryResult> ExplorationService::runBatch(
   // query also fetches its cached design space (enumerated, packed and
   // keyed once per list) and sizes a per-query mapping store: one slot per
   // mapping class times the backend's operating-point fan-out. A
-  // bound-first query never materializes a spec list; it resolves
-  // per-selection contexts and geometries instead.
+  // bound-first query never materializes a spec list: its unit builds
+  // each selection's context and geometry as the search reaches it.
   struct QueryPlan {
     std::shared_ptr<const cost::CostBackend> backend;
     std::string keyPrefix;
-    std::shared_ptr<Impl::SpecListEntry> list;       ///< list queries
-    std::unique_ptr<stt::BlockMappingStore> store;   ///< list queries
-    std::unique_ptr<BoundFirstQueryData> boundFirst;  ///< bound-first queries
+    std::shared_ptr<Impl::SpecListEntry> list;      ///< list queries
+    std::unique_ptr<stt::BlockMappingStore> store;  ///< list queries
   };
   std::vector<QueryPlan> plans(n);
   parallelForOn(impl_->pool, n, [&](std::size_t i) {
     QueryPlan& plan = plans[i];
     plan.backend = makeBackend(batch[i]);
     plan.keyPrefix = impl_->evalPrefix(batch[i], *plan.backend);
-    if (batch[i].enumeration.boundFirst) {
-      plan.boundFirst = std::make_unique<BoundFirstQueryData>();
-      for (const stt::LoopSelection& sel :
-           stt::allLoopSelections(batch[i].algebra)) {
-        auto context = stt::makeSpecContext(batch[i].algebra, sel);
-        plan.boundFirst->geometries.push_back(
-            stt::makeSelectionGeometry(*context));
-        std::ostringstream os;
-        for (std::size_t idx : sel.indices()) os << idx << ".";
-        os << "|";
-        plan.boundFirst->selKeyPrefixes.push_back(os.str());
-        plan.boundFirst->contexts.push_back(std::move(context));
-      }
-      return;
-    }
+    if (batch[i].enumeration.boundFirst) return;
     plan.list = impl_->specEntry(batch[i]);
     plan.store = std::make_unique<stt::BlockMappingStore>(
         plan.backend->blockSlotCount(*plan.list->block));
@@ -580,7 +544,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
   };
   std::vector<Unit> units;
   for (std::size_t i = 0; i < n; ++i) {
-    if (plans[i].boundFirst) {
+    if (batch[i].enumeration.boundFirst) {
       units.push_back({i, 0, 0});
       continue;
     }
@@ -629,8 +593,8 @@ std::vector<QueryResult> ExplorationService::runBatch(
     }
     Impl::UnitRun run(batch[unit.query], *plan.backend, plan.keyPrefix,
                       outs[u]);
-    if (plan.boundFirst) {
-      impl_->runBoundFirst(run, *plan.boundFirst, deadline);
+    if (batch[unit.query].enumeration.boundFirst) {
+      impl_->runBoundFirst(run, deadline);
     } else {
       const Impl::SpecListEntry& list = *plan.list;
       for (std::size_t b = unit.begin; b < unit.end; b += kBlockSpecs) {
@@ -688,7 +652,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
       }
     }
     const std::vector<ParetoEntry> ordered = frontier.sorted();
-    results[i].designs = plans[i].boundFirst
+    results[i].designs = batch[i].enumeration.boundFirst
                              ? static_cast<std::size_t>(boundFirstDesigns)
                              : plans[i].list->specs->size();
     results[i].timedOut =
@@ -710,69 +674,6 @@ std::vector<QueryResult> ExplorationService::runBatch(
 
 QueryResult ExplorationService::run(const ExploreQuery& query) {
   return std::move(runBatch({query}).front());
-}
-
-std::future<QueryResult> ExplorationService::submit(ExploreQuery query) {
-  // A fresh thread (not a pool worker): run() blocks on the pool's own
-  // fan-out, and a blocked worker could deadlock a single-worker pool.
-  {
-    std::lock_guard<std::mutex> lock(impl_->pendingMutex);
-    ++impl_->pendingSubmits;
-  }
-  try {
-    return std::async(std::launch::async, [this, q = std::move(query)] {
-      struct Done {
-        Impl* impl;
-        ~Done() {
-          std::lock_guard<std::mutex> lock(impl->pendingMutex);
-          --impl->pendingSubmits;
-          impl->pendingDone.notify_all();
-        }
-      } done{impl_.get()};
-      return run(q);
-    });
-  } catch (...) {
-    // Thread creation failed before the task (and its Done guard) existed.
-    std::lock_guard<std::mutex> lock(impl_->pendingMutex);
-    --impl_->pendingSubmits;
-    impl_->pendingDone.notify_all();
-    throw;
-  }
-}
-
-std::vector<DesignReport> ExplorationService::evaluateAll(
-    const ExploreQuery& query) {
-  const auto backend = makeBackend(query);
-  const auto list = impl_->specEntry(query);
-  const std::string prefix = impl_->evalPrefix(query, *backend);
-  const std::size_t n = list->specs->size();
-
-  std::vector<std::optional<DesignReport>> slots(n);
-  const std::size_t chunk = impl_->options.workUnitSpecs;
-  const std::size_t unitCount = (n + chunk - 1) / chunk;
-  parallelForOn(impl_->pool, unitCount, [&](std::size_t u) {
-    const std::size_t begin = u * chunk, end = std::min(n, begin + chunk);
-    for (std::size_t i = begin; i < end; ++i) {
-      const stt::DataflowSpec& spec = (*list->specs)[i];
-      const auto entry = impl_->evalEntry(prefix + list->specKeys[i]).first;
-      impl_->force(entry, spec, query.array, *backend);
-      slots[i].emplace(spec, entry->perf, entry->cost);
-    }
-  });
-
-  std::vector<DesignReport> out;
-  out.reserve(n);
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-DesignReport ExplorationService::evaluate(const ExploreQuery& query,
-                                          const stt::DataflowSpec& spec) {
-  const auto backend = makeBackend(query);
-  const auto entry =
-      impl_->evalEntry(impl_->evalPrefix(query, *backend) + specKey(spec)).first;
-  impl_->force(entry, spec, query.array, *backend);
-  return DesignReport(spec, entry->perf, entry->cost);
 }
 
 CacheStats ExplorationService::cacheStats() const {
@@ -816,8 +717,7 @@ bool ExplorationService::saveSnapshot(const std::string& path,
   for (const stt::CandidateCacheEntry& entry : candidates) {
     w.i64(entry.maxEntry);
     w.u8(static_cast<std::uint8_t>((entry.requireUnimodular ? 1 : 0) |
-                                   (entry.canonicalize ? 2 : 0) |
-                                   (entry.boundFirst ? 4 : 0)));
+                                   (entry.canonicalize ? 2 : 0)));
     w.u64(entry.matrices->size());
     for (const linalg::IntMatrix& m : *entry.matrices) snap::writeMatrix(w, m);
   }
@@ -874,7 +774,6 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
       const std::uint8_t flags = r.u8();
       entry.requireUnimodular = (flags & 1) != 0;
       entry.canonicalize = (flags & 2) != 0;
-      entry.boundFirst = (flags & 4) != 0;
       const std::uint64_t count = r.u64();
       std::vector<linalg::IntMatrix> matrices;
       matrices.reserve(count);

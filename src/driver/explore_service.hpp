@@ -1,8 +1,7 @@
 // Batched design-space exploration service — the traffic-facing layer over
 // enumerate → analyze → evaluate.
 //
-// One-shot Session::exploreAll() re-enumerates and re-evaluates everything
-// per call; the service amortizes that across many concurrent queries:
+// The service amortizes exploration across many concurrent queries:
 //
 //   * Batching/sharding: each query's enumerated design space is split
 //     into fixed-size work units and the whole batch's units fan out over
@@ -21,7 +20,9 @@
 //     windows — and every block takes the same three passes: cache peek,
 //     packed lower bounds with dominance cuts, packed evaluation of the
 //     survivors (one tile search per mapping class, held by the query's
-//     stt::BlockMappingStore — the service's only tile-search memo).
+//     stt::BlockMappingStore — the service's only tile-search memo). Both
+//     modes key a candidate's evaluation identically, so a bound-first
+//     query hits every entry a list query cached for the same spec.
 //     Session::compileBest and every tool explore through this path.
 //   * Incremental Pareto streaming: run()/runBatch() fold every evaluated
 //     point into a (cycles, power, area) ParetoFrontier on the fly and keep
@@ -34,19 +35,16 @@
 //     entirely. Pruning only ever removes points insert() would reject, so
 //     frontiers stay bit-identical to exhaustive evaluation at any worker
 //     count (see the pruning differential tests).
-//   * The scalar reference: evaluate()/evaluateAll() price every spec
-//     through the scalar models (CostBackend::estimatePerf + evaluate, one
-//     tile search per model call), never prune, and materialize every
-//     report — the contract behind
-//     Session::exploreAll and the oracle the differential tests fold
-//     run()/runBatch() frontiers against.
 //   * Multi-backend objectives: a query targets the ASIC or the FPGA cost
 //     model through cost::CostBackend; frontiers and objective winners use
 //     the backend-neutral CostFigures axes.
+//
+// The exhaustive reference the differential tests fold run()/runBatch()
+// frontiers from lives outside the service, with no cache and no pool:
+// verify::exhaustiveReports (src/verify/exhaustive.*).
 #pragma once
 
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -122,8 +120,7 @@ struct QueryResult {
 /// Tile-search traffic of run()/runBatch(): every packed evaluation reads
 /// its mapping from the query's stt::BlockMappingStore, and is exactly one
 /// of a miss (it ran the tile search of its mapping-class slot) or a hit
-/// (the slot was already searched). evaluate()/evaluateAll() search per
-/// spec and count nothing here.
+/// (the slot was already searched).
 struct MappingCounts {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;  ///< tile searches performed
@@ -158,9 +155,12 @@ struct ServiceOptions {
   /// already-evaluated incumbent skip full evaluation. The resulting
   /// frontier is bit-identical to exhaustive evaluation at any thread
   /// count; only the cache-traffic split (hits/misses vs pruned) varies.
-  /// evaluateAll() never prunes (it materializes every report).
   bool enablePruning = true;
 };
+
+/// The cost model a query prices with: its backend kind, configured by its
+/// data width (ASIC) or FPGA settings.
+std::shared_ptr<const cost::CostBackend> makeBackend(const ExploreQuery& query);
 
 class ExplorationService {
  public:
@@ -169,29 +169,15 @@ class ExplorationService {
   ExplorationService(const ExplorationService&) = delete;
   ExplorationService& operator=(const ExplorationService&) = delete;
 
-  /// Explores one query through the streaming-frontier path.
+  /// Explores one query through the streaming-frontier path. Safe to call
+  /// from several threads at once (e.g. through std::async); concurrent
+  /// runs share the cache.
   QueryResult run(const ExploreQuery& query);
 
   /// Explores a batch: all queries' work units share the pool and the
   /// cache, so overlapping queries evaluate each design point once.
   /// Results are positionally aligned with `batch`.
   std::vector<QueryResult> runBatch(const std::vector<ExploreQuery>& batch);
-
-  /// Asynchronous run() on a fresh thread (the service pool stays free for
-  /// the evaluation fan-out); safe to overlap with other runs — they share
-  /// the cache.
-  std::future<QueryResult> submit(ExploreQuery query);
-
-  /// Every evaluated design point in enumeration order, priced by the
-  /// scalar models and never pruned (the materializing contract behind
-  /// Session::exploreAll, and the exhaustive reference the run()/runBatch()
-  /// differential tests fold frontiers from).
-  std::vector<DesignReport> evaluateAll(const ExploreQuery& query);
-
-  /// Evaluates one already-analyzed spec through the cache (the path behind
-  /// Session::compileLabel).
-  DesignReport evaluate(const ExploreQuery& query,
-                        const stt::DataflowSpec& spec);
 
   CacheStats cacheStats() const;
   /// Drops all cached evaluations and spec lists and zeroes the stats.

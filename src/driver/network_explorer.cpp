@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 
+#include "driver/wire.hpp"
 #include "support/error.hpp"
 
 namespace tensorlib::driver {
@@ -137,28 +138,16 @@ std::vector<stt::ArrayConfig> parseArrayList(const std::string& list,
     const std::string item = list.substr(start, end - start);
     start = end + 1;
     const auto x = item.find('x');
-    if (item.empty() || x == std::string::npos || x == 0 ||
-        x + 1 >= item.size())
+    if (x == std::string::npos)
       fail("bad array-list entry '" + item + "' (expected RxC, e.g. 8x8)");
+    // Each side parses as strictly as the --rows/--cols flags ("8x8x8",
+    // " 8x8" and "8x0" are all rejected) and takes the same range.
+    const std::string entry = "array-list entry '" + item + "'";
     stt::ArrayConfig config = base;
-    // std::stoll alone would accept trailing garbage ("8x8x8" -> 8x8);
-    // require every character of each dimension to be consumed.
-    const auto parseDim = [&](const std::string& dim) {
-      std::size_t consumed = 0;
-      std::int64_t value = 0;
-      try {
-        value = std::stoll(dim, &consumed);
-      } catch (const std::exception&) {
-        consumed = std::string::npos;
-      }
-      if (consumed != dim.size())
-        fail("bad array-list entry '" + item + "' (expected RxC, e.g. 8x8)");
-      return value;
-    };
-    config.rows = parseDim(item.substr(0, x));
-    config.cols = parseDim(item.substr(x + 1));
-    require(config.rows > 0 && config.cols > 0,
-            "array-list entry '" + item + "' must be positive");
+    config.rows = wire::parseIntFlag((entry + " rows").c_str(),
+                                     item.substr(0, x), wire::kArraySideRange);
+    config.cols = wire::parseIntFlag((entry + " cols").c_str(),
+                                     item.substr(x + 1), wire::kArraySideRange);
     arrays.push_back(config);
   }
   return arrays;

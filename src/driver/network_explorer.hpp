@@ -115,7 +115,7 @@ NetworkResult composeLayerFrontiers(
 /// "8x8,16x16") into configs inheriting `base`'s bandwidth, frequency and
 /// word size — the format the network_explorer CLI and the explore_server
 /// "arrays" field accept (docs/PROTOCOL.md). Throws support::Error on
-/// malformed or non-positive entries.
+/// malformed entries or sides outside wire::kArraySideRange.
 std::vector<stt::ArrayConfig> parseArrayList(const std::string& list,
                                              const stt::ArrayConfig& base);
 

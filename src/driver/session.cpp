@@ -8,6 +8,7 @@
 #include "sim/dfsim.hpp"
 #include "support/error.hpp"
 #include "tensor/reference.hpp"
+#include "verify/exhaustive.hpp"
 
 namespace tensorlib::driver {
 
@@ -38,20 +39,17 @@ static ExploreQuery sessionQuery(const tensor::TensorAlgebra& algebra,
   return q;
 }
 
-DesignReport Session::evaluate(stt::DataflowSpec spec) const {
-  return ExplorationService::shared().evaluate(
-      sessionQuery(algebra_, array_, dataWidth_), spec);
-}
-
 std::optional<DesignReport> Session::compileLabel(const std::string& label) const {
   auto spec = stt::findDataflowByLabel(algebra_, label);
   if (!spec) return std::nullopt;
-  return evaluate(std::move(*spec));
+  const auto backend = makeBackend(sessionQuery(algebra_, array_, dataWidth_));
+  const sim::PerfResult perf = backend->estimatePerf(*spec, array_);
+  cost::CostReport cost = backend->evaluate(*spec, array_);
+  return DesignReport(std::move(*spec), perf, std::move(cost));
 }
 
 std::vector<DesignReport> Session::exploreAll() const {
-  return ExplorationService::shared().evaluateAll(
-      sessionQuery(algebra_, array_, dataWidth_));
+  return verify::exhaustiveReports(sessionQuery(algebra_, array_, dataWidth_));
 }
 
 DesignReport Session::compileBest(Objective objective,

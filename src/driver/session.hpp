@@ -6,9 +6,10 @@
 //   compileBest(objective)   — design-space exploration, pick the winner
 //   exploreAll()             — the full evaluated space (Fig. 5/6 material)
 // plus artifact generation (Verilog) and verification (RTL and behavioral)
-// for any produced design. Both explorations go through the process-wide
-// ExplorationService: compileBest on its packed, pruned run() path,
-// exploreAll on its scalar reference.
+// for any produced design. compileBest explores through the process-wide
+// ExplorationService's packed, pruned run(); exploreAll returns the
+// cache-free exhaustive reference (verify::exhaustiveReports); compileLabel
+// prices its one spec through the cost backend directly.
 #pragma once
 
 #include <optional>
@@ -34,9 +35,6 @@ struct DesignReport {
   cost::AsicReport asic;
   std::optional<cost::FpgaReport> fpga;
   cost::BackendKind backend = cost::BackendKind::Asic;
-
-  DesignReport(stt::DataflowSpec s, sim::PerfResult p, cost::AsicReport a)
-      : spec(std::move(s)), perf(p), asic(std::move(a)) {}
 
   DesignReport(stt::DataflowSpec s, sim::PerfResult p, cost::CostReport c)
       : spec(std::move(s)),
@@ -65,10 +63,9 @@ class Session {
   /// Analyzes and evaluates one named dataflow; nullopt if unrealizable.
   std::optional<DesignReport> compileLabel(const std::string& label) const;
 
-  /// Evaluates the whole enumerated design space (all loop selections).
-  /// Delegates to the shared ExplorationService, so repeated explorations
-  /// of the same (algebra, array) — from this or any other Session — reuse
-  /// cached evaluations.
+  /// Evaluates the whole enumerated design space (all loop selections), in
+  /// enumeration order, through verify::exhaustiveReports: no cache, no
+  /// pruning, every report materialized.
   std::vector<DesignReport> exploreAll() const;
 
   /// Explores through the shared service's run() and returns its objective
@@ -100,8 +97,6 @@ class Session {
       verify::ConformanceOptions options = {}) const;
 
  private:
-  DesignReport evaluate(stt::DataflowSpec spec) const;
-
   tensor::TensorAlgebra algebra_;
   stt::ArrayConfig array_;
   int dataWidth_;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 extern "C" {
 #include <fcntl.h>
@@ -36,20 +35,11 @@ std::string restoreStatusName(RestoreStatus status) {
   return "unknown";
 }
 
-std::string cacheSchemaFingerprint(const stt::EnumerationOptions& defaults) {
-  // "keys-v2" names the cache KEY schema (algebra/array/backend/spec key
-  // rendering in explore_service.cpp); bump it whenever any key function
-  // changes so stale snapshots cold-start instead of silently never
-  // hitting. The spec-defining enumeration knobs follow.
-  std::ostringstream os;
-  os << "keys-v2;e" << defaults.maxEntry
-     << (defaults.requireUnimodular ? "u" : "-")
-     << (defaults.canonicalize ? "c" : "-")
-     << (defaults.dedupeBySignature ? "d" : "-")
-     << (defaults.dropFullReuse ? "f" : "-")
-     << (defaults.dropAllUnicast ? "a" : "-")
-     << (defaults.boundFirst ? "b" : "-");
-  return os.str();
+std::string cacheSchemaFingerprint() {
+  // Names the cache KEY schema (algebra/array/backend/spec key rendering in
+  // explore_service.cpp); bump it whenever any key function changes so
+  // stale snapshots cold-start instead of silently never hitting.
+  return "keys-v2";
 }
 
 // ---- byte-level codec ------------------------------------------------------

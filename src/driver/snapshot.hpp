@@ -8,7 +8,7 @@
 // lives in ExplorationService::saveSnapshot / restoreSnapshot
 // (driver/explore_service.*).
 //
-// File format (version 3, little-endian, see docs/PROTOCOL.md "Snapshot
+// File format (version 4, little-endian, see docs/PROTOCOL.md "Snapshot
 // format"):
 //
 //   magic     8 bytes  "TLSNAP1\n"
@@ -34,16 +34,16 @@
 #include "cost/backend.hpp"
 #include "linalg/matrix.hpp"
 #include "sim/perf.hpp"
-#include "stt/enumerate.hpp"
 
 namespace tensorlib::driver::snapshot {
 
 inline constexpr char kSnapshotMagic[8] = {'T', 'L', 'S', 'N',
                                            'A', 'P', '1', '\n'};
 /// Version 2 dropped the enumeration-engine bit from the candidate-memo
-/// flags; version 3 dropped the tile-mapping section. Older files
-/// cold-start through the version check.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// flags; version 3 dropped the tile-mapping section; version 4 dropped the
+/// bound-first bit from the candidate-memo flags. Older files cold-start
+/// through the version check.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 
 /// Why a restore did not (fully) happen. `Restored` is the only warm
 /// outcome; every other status means the service starts cold.
@@ -68,13 +68,13 @@ struct RestoreResult {
   bool restored() const { return status == RestoreStatus::Restored; }
 };
 
-/// The compatibility fingerprint embedded in every snapshot. Cache keys are
-/// opaque strings produced by the running binary, so a snapshot is only
-/// trustworthy under the same key schema and the same default enumeration
-/// semantics; anything else must cold-start. Owners pass the
-/// EnumerationOptions their request stream defaults to (the spec-defining
-/// knobs are encoded; pure perf knobs are not).
-std::string cacheSchemaFingerprint(const stt::EnumerationOptions& defaults);
+/// The compatibility fingerprint embedded in every snapshot: the name of
+/// the cache-key schema. Cache keys are opaque strings produced by the
+/// running binary, so a snapshot is only trustworthy under the same key
+/// schema; anything else must cold-start. Enumeration defaults are not part
+/// of it: an evaluation key already names the algebra, array, backend,
+/// selection and transform, so no default can make a restored entry wrong.
+std::string cacheSchemaFingerprint();
 
 // ---- byte-level codec ------------------------------------------------------
 

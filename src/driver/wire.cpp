@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -27,38 +28,60 @@ constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 /// The integer field `field` of `obj`, if present, range-checked.
 std::optional<std::int64_t> rangedInt(const support::JsonObject& obj,
-                                      const char* field, std::int64_t lo,
-                                      std::int64_t hi = kInt64Max) {
+                                      const char* field, Range range) {
   const auto v = obj.getInt(field);
-  if (v) checkRange(field, *v, lo, hi);
+  if (v) checkRange(field, *v, range);
   return v;
+}
+
+/// The check behind every real-valued setting (bandwidth_gbps,
+/// frequency_mhz and their flags): returns `value`, or throws naming
+/// `field` unless it is finite and > 0.
+double checkPositive(const char* field, double value) {
+  if (std::isfinite(value) && value > 0.0) return value;
+  fail(std::string(field) + " must be > 0, got " + std::to_string(value));
 }
 
 /// The number field `field` of `obj`, if present; it must be finite and > 0.
 std::optional<double> positiveDouble(const support::JsonObject& obj,
                                      const char* field) {
   const auto v = obj.getDouble(field);
-  if (v && !(std::isfinite(*v) && *v > 0.0))
-    fail(std::string(field) + " must be > 0, got " + std::to_string(*v));
+  if (v) checkPositive(field, *v);
   return v;
 }
 
-/// The ASIC datapath width: 1 to 64 bits (the RTL codecs shift by width-1).
-std::optional<int> dataWidthField(const support::JsonObject& obj) {
-  const auto v = rangedInt(obj, "data_width", 1, 64);
-  if (!v) return std::nullopt;
-  return static_cast<int>(*v);
+/// Applies the target fields an operator query and a network query share:
+/// objective, cost backend and its settings, and the STT entry range.
+template <typename Query>
+void parseTargetFields(const support::JsonObject& obj, Query* q) {
+  if (const auto v = obj.getString("objective"))
+    q->objective = requireObjective(*v);
+  if (const auto v = obj.getString("backend")) {
+    const auto kind = cost::parseBackendKind(*v);
+    if (!kind) fail("unknown backend '" + *v + "' (expected asic|fpga)");
+    q->backend = *kind;
+  }
+  if (const auto v = rangedInt(obj, "data_width", kDataWidthRange))
+    q->dataWidth = static_cast<int>(*v);
+  if (const auto v = obj.getInt("max_entry"))
+    q->enumeration.maxEntry = checkMaxEntry(*v);
+  if (const auto v = obj.getBool("fp32")) q->fpga.fp32 = *v;
+  if (const auto v = rangedInt(obj, "vector_lanes", kVectorLanesRange))
+    q->fpga.vectorLanes = *v;
+  if (const auto v = obj.getBool("placement_optimized"))
+    q->fpga.placementOptimized = *v;
 }
 
 /// Applies the array fields every request kind shares.
 void parseArrayFields(const support::JsonObject& obj, stt::ArrayConfig* array) {
-  if (const auto v = rangedInt(obj, "rows", 1)) array->rows = *v;
-  if (const auto v = rangedInt(obj, "cols", 1)) array->cols = *v;
+  if (const auto v = rangedInt(obj, "rows", kArraySideRange)) array->rows = *v;
+  if (const auto v = rangedInt(obj, "cols", kArraySideRange)) array->cols = *v;
   if (const auto v = positiveDouble(obj, "bandwidth_gbps"))
     array->bandwidthGBps = *v;
   if (const auto v = positiveDouble(obj, "frequency_mhz"))
     array->frequencyMHz = *v;
-  if (const auto v = rangedInt(obj, "data_bytes", 1)) array->dataBytes = *v;
+  if (const auto v = rangedInt(obj, "data_bytes", kDataBytesRange))
+    array->dataBytes = *v;
 }
 
 ExploreQuery parseQuery(const support::JsonObject& obj) {
@@ -80,22 +103,9 @@ ExploreQuery parseQuery(const support::JsonObject& obj) {
   if (const auto* named = tensor::workloads::findWorkload(*workload))
     q.enumeration.dropAllUnicast = !named->allowAllUnicast;
 
-  if (const auto v = obj.getString("objective"))
-    q.objective = requireObjective(*v);
-  if (const auto v = obj.getString("backend")) {
-    const auto kind = cost::parseBackendKind(*v);
-    if (!kind) fail("unknown backend '" + *v + "' (expected asic|fpga)");
-    q.backend = *kind;
-  }
+  parseTargetFields(obj, &q);
   parseArrayFields(obj, &q.array);
-  if (const auto v = dataWidthField(obj)) q.dataWidth = *v;
-  if (const auto v = obj.getInt("max_entry"))
-    q.enumeration.maxEntry = checkMaxEntry(*v);
   if (const auto v = obj.getInt("deadline_ms")) q.deadlineMs = *v;
-  if (const auto v = obj.getBool("fp32")) q.fpga.fp32 = *v;
-  if (const auto v = rangedInt(obj, "vector_lanes", 1)) q.fpga.vectorLanes = *v;
-  if (const auto v = obj.getBool("placement_optimized"))
-    q.fpga.placementOptimized = *v;
   return q;
 }
 
@@ -120,20 +130,7 @@ NetworkQuery parseNetworkQuery(const support::JsonObject& obj) {
     q.arrays = parseArrayList(*v, base);
   else
     q.arrays = {base};
-  if (const auto v = obj.getString("objective"))
-    q.objective = requireObjective(*v);
-  if (const auto v = obj.getString("backend")) {
-    const auto kind = cost::parseBackendKind(*v);
-    if (!kind) fail("unknown backend '" + *v + "' (expected asic|fpga)");
-    q.backend = *kind;
-  }
-  if (const auto v = dataWidthField(obj)) q.dataWidth = *v;
-  if (const auto v = obj.getInt("max_entry"))
-    q.enumeration.maxEntry = checkMaxEntry(*v);
-  if (const auto v = obj.getBool("fp32")) q.fpga.fp32 = *v;
-  if (const auto v = rangedInt(obj, "vector_lanes", 1)) q.fpga.vectorLanes = *v;
-  if (const auto v = obj.getBool("placement_optimized"))
-    q.fpga.placementOptimized = *v;
+  parseTargetFields(obj, &q);
   return q;
 }
 
@@ -167,10 +164,11 @@ void parseModelConformance(const support::JsonObject& obj, Request* request) {
   parseArrayFields(obj, &o.array);
   if (const auto v = obj.getInt("data_seed"))
     o.dataSeed = static_cast<std::uint64_t>(*v);
-  if (const auto v = rangedInt(obj, "threads", 1,
-                               static_cast<std::int64_t>(kMaxThreads)))
+  if (const auto v = rangedInt(obj, "threads",
+                               {1, static_cast<std::int64_t>(kMaxThreads)}))
     o.threads = static_cast<std::size_t>(*v);
-  if (const auto v = dataWidthField(obj)) o.dataWidth = *v;
+  if (const auto v = rangedInt(obj, "data_width", kDataWidthRange))
+    o.dataWidth = static_cast<int>(*v);
   if (const auto v = obj.getInt("max_entry"))
     o.enumeration.maxEntry = checkMaxEntry(*v);
   if (const auto v = obj.getBool("tamper_rtl_tape")) o.tamperRtlTape = *v;
@@ -196,20 +194,38 @@ void appendNetworkDesign(std::ostringstream& os, const NetworkQuery& q,
 
 }  // namespace
 
-std::int64_t checkRange(const char* field, std::int64_t value, std::int64_t lo,
-                        std::int64_t hi) {
-  if (value >= lo && value <= hi) return value;
-  const std::string range =
-      hi == kInt64Max ? ">= " + std::to_string(lo)
-                      : "in [" + std::to_string(lo) + ", " +
-                            std::to_string(hi) + "]";
-  fail(std::string(field) + " must be " + range + ", got " +
+std::int64_t checkRange(const char* field, std::int64_t value, Range range) {
+  if (value >= range.lo && value <= range.hi) return value;
+  const std::string accepted =
+      range.hi == kInt64Max ? ">= " + std::to_string(range.lo)
+                            : "in [" + std::to_string(range.lo) + ", " +
+                                  std::to_string(range.hi) + "]";
+  fail(std::string(field) + " must be " + accepted + ", got " +
        std::to_string(value));
 }
 
 int checkMaxEntry(std::int64_t value) {
   return static_cast<int>(
-      checkRange("max_entry", value, 1, std::numeric_limits<int>::max()));
+      checkRange("max_entry", value, {1, std::numeric_limits<int>::max()}));
+}
+
+std::int64_t parseIntFlag(const char* flag, const std::string& text,
+                          Range range) {
+  const bool negative = !text.empty() && text[0] == '-';
+  const auto magnitude = parseCount(text.substr(negative ? 1 : 0),
+                                    static_cast<std::size_t>(kInt64Max));
+  if (!magnitude)
+    fail(std::string(flag) + " needs an integer, got '" + text + "'");
+  const auto value = static_cast<std::int64_t>(*magnitude);
+  return checkRange(flag, negative ? -value : value, range);
+}
+
+double parsePositiveFlag(const char* flag, const std::string& text) {
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size())
+    fail(std::string(flag) + " needs a number, got '" + text + "'");
+  return checkPositive(flag, value);  // an overflow reads as inf
 }
 
 std::optional<std::size_t> parseCount(const std::string& text,

@@ -49,10 +49,46 @@ struct Request {
 /// cannot exhaust the host's threads.
 inline constexpr std::size_t kMaxThreads = 256;
 
-/// The range check behind every integer request field: returns `value`, or
-/// throws tensorlib::Error naming `field` unless lo <= value <= hi.
-std::int64_t checkRange(const char* field, std::int64_t value, std::int64_t lo,
-                        std::int64_t hi);
+/// The widest PE array side one request field or CLI flag may ask for
+/// (`rows`, `cols`, --rows, --cols), and the most FPGA SIMD lanes per PE
+/// (`vector_lanes`): far above the 64x64 arrays and 8 lanes explored
+/// today, and small enough that every integer product the cost and
+/// performance models form from these fields stays far inside int64 (the
+/// largest, rows * cols * vector_lanes times a per-lane LUT count, is
+/// below 2^36).
+inline constexpr std::int64_t kMaxArraySide = 1024;
+inline constexpr std::int64_t kMaxVectorLanes = 64;
+
+/// An inclusive integer range.
+struct Range {
+  std::int64_t lo;
+  std::int64_t hi;
+};
+
+/// The accepted range of every integer array and datapath setting, shared
+/// by the request fields and the CLIs' flags of the same name.
+inline constexpr Range kArraySideRange{1, kMaxArraySide};  ///< rows, cols
+inline constexpr Range kDataBytesRange{1, INT64_MAX};
+/// data_width: the RTL codecs shift by width - 1.
+inline constexpr Range kDataWidthRange{1, 64};
+inline constexpr Range kVectorLanesRange{1, kMaxVectorLanes};
+
+/// The range check behind every integer request field and flag: returns
+/// `value`, or throws tensorlib::Error naming `field` unless it lies in
+/// `range`.
+std::int64_t checkRange(const char* field, std::int64_t value, Range range);
+
+/// Strict parse of an integer CLI flag (--rows, --data-width, ...): an
+/// optional '-' and decimal digits, nothing else, within `range`. Throws
+/// tensorlib::Error naming `flag` otherwise, overflow included.
+std::int64_t parseIntFlag(const char* flag, const std::string& text,
+                          Range range);
+
+/// Strict parse of a real-valued CLI flag (--bandwidth-gbps,
+/// --frequency-mhz): the whole text must be one number, finite and > 0
+/// like the request field of the same name. Throws tensorlib::Error naming
+/// `flag` otherwise.
+double parsePositiveFlag(const char* flag, const std::string& text);
 
 /// The one range check for a requested STT entry range, shared by every
 /// `max_entry` request field and the CLIs' --max-entry flag: returns the

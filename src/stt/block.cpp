@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <unordered_map>
 
 #include "support/error.hpp"
@@ -16,101 +15,62 @@ void appendWords(std::string& key, const std::int64_t* words, std::size_t n) {
   key.append(reinterpret_cast<const char*>(words), n * sizeof(std::int64_t));
 }
 
+/// Sizes a set's per-spec arrays for `n` specs, so packing a whole list
+/// allocates each array once and keeps no growth slack.
+void reserveSpecBlocks(SpecBlockSet& set, std::size_t n) {
+  const std::size_t T = set.tensorsPerSpec;
+  set.extents.reserve(n * 3);
+  set.outer.reserve(n);
+  set.absT.reserve(n * 9);
+  set.labels.reserve(n);
+  set.classTag.reserve(n * T);
+  set.absDir.reserve(n * T * 2);
+  set.systolicDt.reserve(n * T);
+  set.absC.reserve(n * T * set.rankStride * 3);
+}
+
 }  // namespace
 
 std::shared_ptr<const SpecBlockSet> packSpecBlocks(
     const std::vector<DataflowSpec>& list) {
+  // The same three steps that pack a bound-first window: per-selection
+  // constants from the selection geometry, one append per spec carrying
+  // its class data, then the mapping-class partition.
   auto set = std::make_shared<SpecBlockSet>();
-  set->count = list.size();
-  if (list.empty()) return set;
-
-  const DataflowSpec& first = list.front();
-  const std::size_t T = first.tensors().size();
-  TL_CHECK(T >= 1 && T <= kBlockMaxTensors,
-           "block packing: tensor count out of range");
-  set->tensorsPerSpec = T;
-  set->inputCount = first.algebra().inputs().size();
-  set->algebraMacs = first.algebra().totalMacs();
-
-  set->tensorIsOutput.resize(T);
-  set->tensorRank.resize(T);
-  for (std::size_t k = 0; k < T; ++k) {
-    const TensorRole& role = first.tensors()[k];
-    const std::size_t rank = role.access.coeff().rows();
-    TL_CHECK(rank <= kBlockMaxRank, "block packing: tensor rank out of range");
-    set->tensorIsOutput[k] = role.isOutput ? 1 : 0;
-    set->tensorRank[k] = rank;
-    set->rankStride = std::max(set->rankStride, rank);
-  }
-  if (set->rankStride == 0) set->rankStride = 1;
-
-  const std::size_t n = set->count;
-  set->extents.resize(n * 3);
-  set->outer.resize(n);
-  set->absT.resize(n * 9);
-  set->labels.reserve(n);
-  set->classTag.resize(n * T);
-  set->absDir.assign(n * T * 2, 0);
-  set->systolicDt.assign(n * T, 0);
-  set->absC.assign(n * T * set->rankStride * 3, 0);
-  set->mapClass.resize(n);
-
-  // Mapping-class partition: key on the packed tile-search read set.
-  std::unordered_map<std::string, std::uint32_t> classes;
-  std::string key;
-  key.reserve((3 + 1 + 9 + T * set->rankStride * 3) * sizeof(std::int64_t));
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const DataflowSpec& spec = list[i];
+  const SpecContext* context = nullptr;
+  SelectionGeometry geometry;
+  std::uint8_t classTag[kBlockMaxTensors];
+  std::int64_t absDir[kBlockMaxTensors * 2];
+  std::int64_t systolicDt[kBlockMaxTensors];
+  for (const DataflowSpec& spec : list) {
+    if (spec.context().get() != context) {  // one selection after another
+      context = spec.context().get();
+      geometry = makeSelectionGeometry(*context);
+      if (set->count == 0) {
+        resetSpecBlocks(*set, geometry);
+        reserveSpecBlocks(*set, list.size());
+      }
+      TL_CHECK(geometry.tensorRank == set->tensorRank &&
+                   geometry.tensorIsOutput == set->tensorIsOutput,
+               "block packing: tensor layout varies within one list");
+    }
+    const std::size_t T = geometry.tensorCount;
     TL_CHECK(spec.tensors().size() == T,
              "block packing: tensor count varies within one list");
-
-    const linalg::IntVector& e = spec.selection().extents();
-    for (std::size_t j = 0; j < 3; ++j) set->extents[i * 3 + j] = e[j];
-
-    std::int64_t outer = 1;
-    for (std::size_t idx : spec.selection().outerIndices())
-      outer = linalg::checkedMul(outer, spec.algebra().loops()[idx].extent);
-    set->outer[i] = outer;
-
-    const linalg::IntMatrix& t = spec.transform().matrix();
-    for (std::size_t r = 0; r < 3; ++r)
-      for (std::size_t j = 0; j < 3; ++j)
-        set->absT[i * 9 + r * 3 + j] = std::abs(t.at(r, j));
-
-    set->labels.push_back(spec.label());
-
     for (std::size_t k = 0; k < T; ++k) {
-      const TensorRole& role = spec.tensors()[k];
-      TL_CHECK(role.access.coeff().rows() == set->tensorRank[k] &&
-                   (role.isOutput ? 1 : 0) == set->tensorIsOutput[k],
-               "block packing: tensor layout varies within one list");
-      const std::size_t ti = set->tensorIndex(i, k);
-      set->classTag[ti] = static_cast<std::uint8_t>(role.dataflow.dataflowClass);
-      if (role.dataflow.direction.size() >= 2) {
-        set->absDir[ti * 2 + 0] = std::abs(role.dataflow.direction[0]);
-        set->absDir[ti * 2 + 1] = std::abs(role.dataflow.direction[1]);
-      }
-      if (role.dataflow.dataflowClass == DataflowClass::Systolic)
-        set->systolicDt[ti] = std::abs(role.dataflow.latticeBasis.at(2, 0));
-      const linalg::IntMatrix& c = role.access.coeff();
-      std::int64_t* absC = set->absC.data() + ti * set->rankStride * 3;
-      for (std::size_t d = 0; d < set->tensorRank[k]; ++d)
-        for (std::size_t j = 0; j < 3; ++j)
-          absC[d * 3 + j] = std::abs(c.at(d, j));
+      const TensorDataflow& df = spec.tensors()[k].dataflow;
+      classTag[k] = static_cast<std::uint8_t>(df.dataflowClass);
+      const bool ranked = df.direction.size() >= 2;
+      absDir[k * 2 + 0] = ranked ? std::abs(df.direction[0]) : 0;
+      absDir[k * 2 + 1] = ranked ? std::abs(df.direction[1]) : 0;
+      systolicDt[k] = df.dataflowClass == DataflowClass::Systolic
+                          ? std::abs(df.latticeBasis.at(2, 0))
+                          : 0;
     }
-
-    key.clear();
-    appendWords(key, set->specExtents(i), 3);
-    appendWords(key, &set->outer[i], 1);
-    appendWords(key, set->specAbsT(i), 9);
-    appendWords(key, set->tensorAbsC(i, 0), T * set->rankStride * 3);
-    const auto [it, inserted] =
-        classes.emplace(key, static_cast<std::uint32_t>(classes.size()));
-    (void)inserted;
-    set->mapClass[i] = it->second;
+    appendSpecBlock(*set, geometry, spec.transform().matrix(), classTag,
+                    absDir, systolicDt, spec.label());
   }
-  set->mapClassCount = classes.size();
+  assignSpecBlockClasses(*set);
   return set;
 }
 

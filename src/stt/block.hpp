@@ -85,7 +85,10 @@ inline constexpr std::size_t kBlockMaxTensors = 8;
 inline constexpr std::size_t kBlockMaxRank = 8;
 
 /// Packs an enumerated list into a SpecBlockSet (built once per list and
-/// shared by every query over it). Slot i packs specs[i].
+/// shared by every query over it). Slot i packs specs[i]. Built from the
+/// same primitives as a bound-first window — makeSelectionGeometry,
+/// appendSpecBlock, assignSpecBlockClasses — so a list and the uncut
+/// bound-first sweep of the same space pack identically.
 std::shared_ptr<const SpecBlockSet> packSpecBlocks(
     const std::vector<DataflowSpec>& specs);
 
@@ -144,8 +147,8 @@ std::size_t appendSpecBlock(SpecBlockSet& set, const SelectionGeometry& geometry
                             const std::int64_t* absDir,
                             const std::int64_t* systolicDt, std::string label);
 
-/// (Re)builds the mapping-class partition of a window in place, keyed on
-/// exactly the same read set as packSpecBlocks (extents, outer, |T|, |C|).
+/// (Re)builds the mapping-class partition of a set in place, keyed on the
+/// packed mapping read set (extents, outer, |T|, |C|).
 void assignSpecBlockClasses(SpecBlockSet& set);
 
 /// computeMapping on packed data: bit-identical to computeMapping on the

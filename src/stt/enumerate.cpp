@@ -148,8 +148,9 @@ using CandidateList = std::shared_ptr<const std::vector<linalg::IntMatrix>>;
 /// instrumented (mirrors the exploration service's cache pattern): distinct
 /// EnumerationOptions keys no longer grow the process footprint forever.
 struct CandidateCache {
-  /// (maxEntry, requireUnimodular, canonicalize, boundFirst).
-  using Key = std::tuple<int, bool, bool, bool>;
+  /// (maxEntry, requireUnimodular, canonicalize): the only options
+  /// generateCandidateMatrices() reads.
+  using Key = std::tuple<int, bool, bool>;
   std::mutex mutex;
   std::map<Key, CandidateList> map;
   std::deque<Key> fifo;
@@ -160,6 +161,15 @@ struct CandidateCache {
     static CandidateCache cache;
     return cache;
   }
+
+  /// FIFO-evicts down to the capacity; the caller holds `mutex`.
+  void evictOverCapacity() {
+    while (map.size() > capacity) {
+      map.erase(fifo.front());
+      fifo.pop_front();
+      ++stats.evictions;
+    }
+  }
 };
 
 /// All full-rank (optionally unimodular) matrices in entry range, canonical
@@ -167,9 +177,8 @@ struct CandidateCache {
 /// Memoized process-wide: both findDataflow lookups and repeated
 /// enumerations hit the same immutable list.
 CandidateList candidateMatrices(const EnumerationOptions& options) {
-  const CandidateCache::Key key =
-      std::make_tuple(options.maxEntry, options.requireUnimodular,
-                      options.canonicalize, options.boundFirst);
+  const CandidateCache::Key key = std::make_tuple(
+      options.maxEntry, options.requireUnimodular, options.canonicalize);
   CandidateCache& cache = CandidateCache::instance();
   {
     std::lock_guard<std::mutex> lock(cache.mutex);
@@ -189,11 +198,7 @@ CandidateList candidateMatrices(const EnumerationOptions& options) {
   const auto [it, inserted] = cache.map.try_emplace(key, std::move(list));
   if (inserted) {
     cache.fifo.push_back(key);
-    while (cache.map.size() > cache.capacity) {
-      cache.map.erase(cache.fifo.front());
-      cache.fifo.pop_front();
-      ++cache.stats.evictions;
-    }
+    cache.evictOverCapacity();  // never the newest key: capacity >= 1
   }
   return it->second;
 }
@@ -253,6 +258,41 @@ struct TensorReuseBasis {
   std::size_t rank = 0;
   std::array<std::array<std::int64_t, 3>, 3> cols{};  ///< basis columns
 };
+
+using ReuseBases = std::array<TensorReuseBasis, kBlockMaxTensors>;
+
+/// The reuse bases of a selection's tensors, in label order.
+ReuseBases reuseBases(const SpecContext& context) {
+  const std::size_t T = context.restrictedAccesses.size();
+  TL_CHECK(T >= 1 && T <= kBlockMaxTensors,
+           "enumeration: tensor count out of range");
+  ReuseBases bases;
+  for (std::size_t k = 0; k < T; ++k) {
+    const linalg::IntMatrix b =
+        linalg::nullspaceBasis(context.restrictedAccesses[k].coeff());
+    TL_CHECK(b.cols() <= 3, "reuse nullspace rank out of range");
+    bases[k].rank = b.cols();
+    for (std::size_t j = 0; j < b.cols(); ++j)
+      for (std::size_t i = 0; i < 3; ++i) bases[k].cols[j][i] = b.at(i, j);
+  }
+  return bases;
+}
+
+/// The dropFullReuse/dropAllUnicast filters, decided once per selection:
+/// a tensor's reuse rank is the nullity of its restricted access, which an
+/// invertible T does not change, and Unicast is rank 0 and FullReuse rank
+/// 3. So either every candidate of the selection passes or none does.
+bool selectionPassesFilters(const SpecContext& context, const ReuseBases& bases,
+                            const EnumerationOptions& options) {
+  const std::size_t T = context.restrictedAccesses.size();
+  if (options.dropFullReuse)
+    for (std::size_t k = 0; k < T; ++k)
+      if (bases[k].rank == 3) return false;
+  if (options.dropAllUnicast && bases[T - 1].rank == 0)
+    for (std::size_t k = 0; k + 1 < T; ++k)
+      if (bases[k].rank == 0) return false;
+  return true;
+}
 
 std::int64_t gcd3(std::int64_t a, std::int64_t b, std::int64_t c) {
   return std::gcd(std::gcd(a, b), c);
@@ -324,23 +364,6 @@ std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-bool passesFilters(const DataflowSpec& spec, const EnumerationOptions& options) {
-  if (options.dropFullReuse) {
-    for (const auto& t : spec.tensors())
-      if (t.dataflow.dataflowClass == DataflowClass::FullReuse) return false;
-  }
-  if (options.dropAllUnicast) {
-    const bool outputUnicast =
-        spec.outputRole().dataflow.dataflowClass == DataflowClass::Unicast;
-    if (outputUnicast) {
-      for (const auto& t : spec.tensors())
-        if (!t.isOutput && t.dataflow.dataflowClass == DataflowClass::Unicast)
-          return false;
-    }
-  }
-  return true;
-}
-
 /// Core of enumerateTransforms over a prebuilt shared context.
 std::vector<DataflowSpec> enumerateTransformsOn(const SpecContextPtr& context,
                                                 const EnumerationOptions& options) {
@@ -358,13 +381,15 @@ std::vector<DataflowSpec> enumerateTransformsOn(const SpecContextPtr& context,
     enumerateBoundFirst(context, geometry, options, hooks);
     return out;
   }
+  if (!selectionPassesFilters(*context, reuseBases(*context), options))
+    return {};
   const CandidateList candidates = candidateMatrices(options);
   const std::size_t n = candidates->size();
 
   // Analyze a bounded window of candidates into per-index slots
-  // (parallel-safe), then filter and dedupe serially in candidate order —
-  // output is byte-identical to a serial run, and peak memory stays at one
-  // window of unfiltered specs even for huge candidate lists.
+  // (parallel-safe), then dedupe serially in candidate order — output is
+  // byte-identical to a serial run, and peak memory stays at one window of
+  // analyzed specs even for huge candidate lists.
   constexpr std::size_t kWindow = 2048;
   std::vector<DataflowSpec> out;
   HashSet64 signatures;
@@ -378,7 +403,6 @@ std::vector<DataflowSpec> enumerateTransformsOn(const SpecContextPtr& context,
     parallelFor(count, analyzeAt);
     for (std::size_t i = 0; i < count; ++i) {
       DataflowSpec& spec = *analyzed[i];
-      if (!passesFilters(spec, options)) continue;
       if (options.dedupeBySignature && !signatures.insert(spec.signatureHash()))
         continue;
       out.push_back(std::move(spec));
@@ -414,8 +438,7 @@ std::vector<CandidateCacheEntry> exportCandidateCache() {
     const auto it = cache.map.find(key);
     if (it == cache.map.end()) continue;
     CandidateCacheEntry entry;
-    std::tie(entry.maxEntry, entry.requireUnimodular, entry.canonicalize,
-             entry.boundFirst) = key;
+    std::tie(entry.maxEntry, entry.requireUnimodular, entry.canonicalize) = key;
     entry.matrices = it->second;
     out.push_back(std::move(entry));
   }
@@ -428,17 +451,12 @@ std::size_t importCandidateCache(const std::vector<CandidateCacheEntry>& entries
   std::size_t inserted = 0;
   for (const CandidateCacheEntry& entry : entries) {
     if (!entry.matrices) continue;
-    const CandidateCache::Key key =
-        std::make_tuple(entry.maxEntry, entry.requireUnimodular,
-                        entry.canonicalize, entry.boundFirst);
+    const CandidateCache::Key key = std::make_tuple(
+        entry.maxEntry, entry.requireUnimodular, entry.canonicalize);
     if (!cache.map.try_emplace(key, entry.matrices).second) continue;
     cache.fifo.push_back(key);
     ++inserted;
-    while (cache.map.size() > cache.capacity) {
-      cache.map.erase(cache.fifo.front());
-      cache.fifo.pop_front();
-      ++cache.stats.evictions;
-    }
+    cache.evictOverCapacity();
   }
   return inserted;
 }
@@ -448,11 +466,7 @@ std::size_t setCandidateCacheCapacity(std::size_t capacity) {
   std::lock_guard<std::mutex> lock(cache.mutex);
   const std::size_t previous = cache.capacity;
   cache.capacity = capacity > 0 ? capacity : 1;
-  while (cache.map.size() > cache.capacity) {
-    cache.map.erase(cache.fifo.front());
-    cache.fifo.pop_front();
-    ++cache.stats.evictions;
-  }
+  cache.evictOverCapacity();
   return previous;
 }
 
@@ -538,28 +552,8 @@ BoundFirstStats enumerateBoundFirst(const SpecContextPtr& context,
                                     const BoundFirstHooks& hooks) {
   BoundFirstStats stats;
   const std::size_t T = context->restrictedAccesses.size();
-  TL_CHECK(T >= 1 && T <= kBlockMaxTensors,
-           "bound-first enumeration: tensor count out of range");
-
-  std::array<TensorReuseBasis, kBlockMaxTensors> bases;
-  for (std::size_t k = 0; k < T; ++k) {
-    const linalg::IntMatrix b =
-        linalg::nullspaceBasis(context->restrictedAccesses[k].coeff());
-    TL_CHECK(b.cols() <= 3, "reuse nullspace rank out of range");
-    bases[k].rank = b.cols();
-    for (std::size_t j = 0; j < b.cols(); ++j)
-      for (std::size_t i = 0; i < 3; ++i) bases[k].cols[j][i] = b.at(i, j);
-  }
-
-  // The spec-level filters are selection-level facts here: Unicast (rank 0)
-  // and FullReuse (rank 3) are transform-independent, so either every
-  // candidate of this selection passes them or none does.
-  if (options.dropFullReuse)
-    for (std::size_t k = 0; k < T; ++k)
-      if (bases[k].rank == 3) return stats;
-  if (options.dropAllUnicast && bases[T - 1].rank == 0)
-    for (std::size_t k = 0; k + 1 < T; ++k)
-      if (bases[k].rank == 0) return stats;
+  const ReuseBases bases = reuseBases(*context);
+  if (!selectionPassesFilters(*context, bases, options)) return stats;
 
   const CandidateList candidates = candidateMatrices(options);
   PartialTransform partial;

@@ -12,9 +12,11 @@
 // consumers: the classic analyze-then-dedupe sweep (enumerateTransforms)
 // and the bound-first branch-and-bound search (enumerateBoundFirst), which
 // cuts candidates against admissible partial-transform cost bounds and
-// quotients by evaluation class before any DataflowSpec exists. Also
-// provides label-directed search used to construct every named dataflow in
-// the paper (e.g. "MNK-MTM", "KCX-STS").
+// quotients by evaluation class before any DataflowSpec exists. Both apply
+// the dropFullReuse/dropAllUnicast filters once per loop selection, through
+// one reuse-rank check, before any candidate is analyzed. Also provides
+// label-directed search used to construct every named dataflow in the
+// paper (e.g. "MNK-MTM", "KCX-STS").
 #pragma once
 
 #include <cstdint>
@@ -52,16 +54,13 @@ std::size_t setCandidateCacheCapacity(std::size_t capacity);
 
 /// One memoized candidate-matrix list together with the option key that
 /// produced it — the unit of candidate-memo snapshot/restore (see
-/// driver/snapshot.*). The four key fields are exactly the
-/// EnumerationOptions knobs candidateMatrices() is keyed by (boundFirst
-/// lists are byte-identical to their classic siblings today, but the key
-/// keeps the memo honest if the bound-first generator ever specializes —
-/// and makes differently-bounded snapshots degrade to a clean cold start).
+/// driver/snapshot.*). The three key fields are exactly the
+/// EnumerationOptions knobs the candidate generator reads, so list and
+/// bound-first enumeration at one maxEntry share one entry.
 struct CandidateCacheEntry {
   int maxEntry = 1;
   bool requireUnimodular = true;
   bool canonicalize = true;
-  bool boundFirst = false;
   std::shared_ptr<const std::vector<linalg::IntMatrix>> matrices;
 };
 
@@ -193,9 +192,10 @@ struct BoundFirstStats {
 /// transform through hooks.cut BEFORE any classification, fast-classifies
 /// survivors straight from precomputed nullspace bases (no DataflowSpec,
 /// no SpecContext copy, no matrix inverse), applies the
-/// dropFullReuse/dropAllUnicast filters (both selection-level facts) and
-/// the evaluation-class quotient (when options.dedupeBySignature), and
-/// emits the remainder. `geometry` must be makeSelectionGeometry(*context).
+/// dropFullReuse/dropAllUnicast filters (the selection-level check
+/// enumerateTransforms shares) and the evaluation-class quotient (when
+/// options.dedupeBySignature), and emits the remainder. `geometry` must be
+/// makeSelectionGeometry(*context).
 BoundFirstStats enumerateBoundFirst(const SpecContextPtr& context,
                                     const SelectionGeometry& geometry,
                                     const EnumerationOptions& options,

@@ -84,11 +84,6 @@ class DataflowSpec {
   /// probability ~2^-64.
   std::uint64_t signatureHash() const;
 
-  /// True if any tensor's dataflow class is among the given letters.
-  bool hasLetter(char letter) const {
-    return letters_.find(letter) != std::string::npos;
-  }
-
   std::string describe() const;
 
  private:

@@ -3,16 +3,18 @@
 // of evidence:
 //
 //   * Differential: run()/runBatch() frontiers and winners equal the
-//     frontier folded from evaluateAll() (the scalar-model exhaustive
-//     reference, service_reference.hpp) across the full workload table x
-//     {ASIC, FPGA} backends x {1, 8} worker threads, cold and warm, at work
-//     units of 1 spec (one-spec blocks) and of 128 specs (two 64-spec
-//     blocks per unit; a block never spans a unit, so a list's last unit
-//     ends in a short block), at 8- and 16-spec units below, and across
-//     packed and scalar traffic sharing one cache.
+//     frontier folded from verify::exhaustiveReports() (the cache-free
+//     scalar-model exhaustive reference, service_reference.hpp) across the
+//     full workload table x {ASIC, FPGA} backends x {1, 8} worker threads,
+//     cold and warm, at work units of 1 spec (one-spec blocks) and of 128
+//     specs (two 64-spec blocks per unit; a block never spans a unit, so a
+//     list's last unit ends in a short block), and at 8- and 16-spec units
+//     below.
 //   * Packed-model unit checks: computeMappingPacked equals computeMapping
 //     field for field, and CostBackend::lowerBoundBlock equals lowerBound
-//     exactly (EXPECT_EQ on doubles), on every enumerated spec checked.
+//     exactly (EXPECT_EQ on doubles), on every enumerated spec checked. A
+//     packed list equals the windows of the uncut bound-first sweep over
+//     the same space, field for field.
 //   * Accounting: hits + misses + pruned + skipped == designs holds,
 //     including deadline-expired partial results where the whole untouched
 //     remainder counts as skipped; CacheStats::mappings counts one tile
@@ -77,8 +79,7 @@ TEST(BlockDifferential, FrontiersEqualEvaluateAllAcrossTable) {
     for (const auto backend :
          {cost::BackendKind::Asic, cost::BackendKind::Fpga}) {
       const ExploreQuery q = workloadQuery(w, backend);
-      ExplorationService reference(serviceOptions(1));
-      const QueryResult expected = referenceResult(reference, q);
+      const QueryResult expected = referenceResult(q);
 
       for (const std::size_t unitSpecs : {std::size_t{1}, std::size_t{128}}) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -100,17 +101,16 @@ TEST(BlockDifferential, FrontiersEqualEvaluateAllAcrossTable) {
 }
 
 TEST(BlockDifferential, WarmRunsStayBitIdentical) {
-  // A cache primed by the scalar reference turns would-be pruned candidates
+  // A cache primed by an unpruned run() turns would-be pruned candidates
   // into peek hits; the block path's output must not care.
   ExploreQuery q(wl::gemm(8, 8, 8));
   q.array.rows = q.array.cols = 4;
 
-  ExplorationService reference(serviceOptions(1));
-  const auto expected = referenceResult(reference, q);
+  const auto expected = referenceResult(q);
 
   ExplorationService service(serviceOptions(1));
   const auto cold = service.run(q);
-  (void)service.evaluateAll(q);  // prime the cache with every evaluation
+  primeCache(service, q, "block_eval_prime.snap");
   const auto warm = service.run(q);
 
   expectSameResult(expected, cold);
@@ -120,28 +120,9 @@ TEST(BlockDifferential, WarmRunsStayBitIdentical) {
   expectExactAccounting(warm);
 }
 
-TEST(BlockDifferential, PackedAndScalarTrafficShareOneCache) {
-  // Entries written by the packed models must read back identically on the
-  // scalar path: evaluateAll on a run()-warmed service has to match a fresh
-  // service's evaluateAll report for report.
-  ExploreQuery q(wl::attention(8, 8, 8));
-  q.array.rows = q.array.cols = 4;
-
-  ExplorationService warmed(serviceOptions(1, 16));
-  (void)warmed.run(q);  // warm the cache through forceBlock
-  const auto viaBlockCache = warmed.evaluateAll(q);
-
-  ExplorationService fresh(serviceOptions(1));
-  const auto viaScalar = fresh.evaluateAll(q);
-
-  ASSERT_EQ(viaBlockCache.size(), viaScalar.size());
-  for (std::size_t i = 0; i < viaScalar.size(); ++i)
-    expectSameReport(viaBlockCache[i], viaScalar[i]);
-}
-
 TEST(BlockDifferential, BatchedQueriesMatchReference) {
   // runBatch with duplicates and both backends: positional results equal
-  // each query's evaluateAll fold.
+  // each query's reference fold.
   std::vector<ExploreQuery> batch;
   for (const auto backend :
        {cost::BackendKind::Asic, cost::BackendKind::Fpga}) {
@@ -152,13 +133,12 @@ TEST(BlockDifferential, BatchedQueriesMatchReference) {
     batch.push_back(q);  // duplicate: exercises shared once-flag entries
   }
 
-  ExplorationService reference(serviceOptions(8));
   ExplorationService service(serviceOptions(8, 16));
   const auto actual = service.runBatch(batch);
   ASSERT_EQ(actual.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
-    expectSameResult(referenceResult(reference, batch[i]), actual[i]);
+    expectSameResult(referenceResult(batch[i]), actual[i]);
     expectExactAccounting(actual[i]);
   }
 }
@@ -190,8 +170,7 @@ TEST_F(BlockDeadlineTest, GenerousDeadlineChangesNothing) {
   ExploreQuery q(wl::gemm(5, 5, 5));
   q.array.rows = q.array.cols = 4;
 
-  ExplorationService reference(serviceOptions(1));
-  const auto expected = referenceResult(reference, q);
+  const auto expected = referenceResult(q);
 
   ExploreQuery bounded = q;
   bounded.deadlineMs = 60'000;
@@ -292,6 +271,56 @@ TEST(BlockPacked, MappingClassesShareMappingsSoundly) {
   }
 }
 
+TEST(BlockPacked, ListPackingEqualsUncutBoundFirstWindows) {
+  // packSpecBlocks and the bound-first windows are built from the same
+  // primitives, so with dedupe off (the bound-first stream is then exactly
+  // the list) the packed list equals the sweep's survivors appended into
+  // one set, field for field.
+  for (const auto& w : wl::allWorkloads()) {
+    SCOPED_TRACE(w.name);
+    stt::EnumerationOptions options;
+    options.dropAllUnicast = !w.allowAllUnicast;
+    options.dedupeBySignature = false;
+    const auto list = stt::packSpecBlocks(
+        stt::enumerateDesignSpace(w.algebra, options));
+
+    stt::SpecBlockSet windows;
+    for (const stt::LoopSelection& sel : stt::allLoopSelections(w.algebra)) {
+      const auto context = stt::makeSpecContext(w.algebra, sel);
+      const stt::SelectionGeometry geometry =
+          stt::makeSelectionGeometry(*context);
+      if (windows.tensorsPerSpec == 0) stt::resetSpecBlocks(windows, geometry);
+      stt::BoundFirstHooks hooks;
+      hooks.emit = [&](const stt::BoundFirstCandidate& c) {
+        stt::appendSpecBlock(windows, geometry, *c.matrix, c.classTag,
+                             c.absDir, c.systolicDt,
+                             geometry.selectionLabel + "-" + c.letters);
+      };
+      stt::enumerateBoundFirst(context, geometry, options, hooks);
+    }
+    stt::assignSpecBlockClasses(windows);
+
+    ASSERT_GT(list->count, 0u);
+    EXPECT_EQ(list->count, windows.count);
+    EXPECT_EQ(list->tensorsPerSpec, windows.tensorsPerSpec);
+    EXPECT_EQ(list->inputCount, windows.inputCount);
+    EXPECT_EQ(list->algebraMacs, windows.algebraMacs);
+    EXPECT_EQ(list->extents, windows.extents);
+    EXPECT_EQ(list->outer, windows.outer);
+    EXPECT_EQ(list->absT, windows.absT);
+    EXPECT_EQ(list->labels, windows.labels);
+    EXPECT_EQ(list->classTag, windows.classTag);
+    EXPECT_EQ(list->absDir, windows.absDir);
+    EXPECT_EQ(list->systolicDt, windows.systolicDt);
+    EXPECT_EQ(list->tensorIsOutput, windows.tensorIsOutput);
+    EXPECT_EQ(list->tensorRank, windows.tensorRank);
+    EXPECT_EQ(list->rankStride, windows.rankStride);
+    EXPECT_EQ(list->absC, windows.absC);
+    EXPECT_EQ(list->mapClass, windows.mapClass);
+    EXPECT_EQ(list->mapClassCount, windows.mapClassCount);
+  }
+}
+
 // --- tile-search accounting -----------------------------------------------
 
 TEST(BlockMappingCounts, OneSearchPerMappingClassEveryOtherEvaluationAHit) {
@@ -299,12 +328,6 @@ TEST(BlockMappingCounts, OneSearchPerMappingClassEveryOtherEvaluationAHit) {
   q.array.rows = q.array.cols = 4;
   ServiceOptions options = serviceOptions(1);
   options.enablePruning = false;
-
-  // The scalar reference searches per spec and counts nothing here.
-  ExplorationService scalar(options);
-  scalar.evaluateAll(q);
-  EXPECT_EQ(scalar.cacheStats().mappings.hits, 0u);
-  EXPECT_EQ(scalar.cacheStats().mappings.misses, 0u);
 
   ExplorationService service(options);
   const QueryResult r = service.run(q);

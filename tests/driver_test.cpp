@@ -119,8 +119,7 @@ TEST(Session, CompileBestIsTheReferenceWinner) {
       ExploreQuery q(s.algebra());
       q.array = s.array();
       q.objective = objective;
-      ExplorationService reference(ServiceOptions{});
-      const QueryResult expected = referenceResult(reference, q);
+      const QueryResult expected = referenceResult(q);
       std::size_t designs = 0;
       const DesignReport best = s.compileBest(objective, &designs);
       ASSERT_TRUE(expected.best.has_value());

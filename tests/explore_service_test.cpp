@@ -13,6 +13,7 @@
 #include "sim/perf.hpp"
 #include "stt/enumerate.hpp"
 #include "tensor/workloads.hpp"
+#include "verify/exhaustive.hpp"
 
 namespace tensorlib::driver {
 namespace {
@@ -114,22 +115,7 @@ TEST(ServiceDeterminism, BitIdenticalAcrossThreadCountsAndCacheStates) {
   }
 }
 
-TEST(ServiceDeterminism, EvaluateAllMatchesEveryThreadCountAndWarmth) {
-  const ExploreQuery q = gemmQuery();
-  ExplorationService one(withThreads(1));
-  ExplorationService eight(withThreads(8));
-  const auto a = one.evaluateAll(q);
-  const auto b = one.evaluateAll(q);  // warm
-  const auto c = eight.evaluateAll(q);
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_EQ(a.size(), c.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    expectSameReport(a[i], b[i]);
-    expectSameReport(a[i], c[i]);
-  }
-}
-
-// --- delegation keeps the legacy exploreAll contract ------------------------
+// --- the exhaustive reference keeps the legacy exploreAll contract ----------
 
 TEST(Service, EvaluateAllMatchesLegacyEnumerateAndEvaluate) {
   const auto algebra = wl::gemm(5, 5, 5);
@@ -149,8 +135,7 @@ TEST(Service, EvaluateAllMatchesLegacyEnumerateAndEvaluate) {
 
   ExploreQuery q(algebra);
   q.array = array;
-  ExplorationService service(withThreads(2));
-  const auto reports = service.evaluateAll(q);
+  const auto reports = verify::exhaustiveReports(q);
   ASSERT_EQ(reports.size(), legacyLabels.size());
   for (std::size_t i = 0; i < reports.size(); ++i) {
     EXPECT_EQ(reports[i].spec.label(), legacyLabels[i]);
@@ -201,7 +186,8 @@ TEST(ServiceCache, SameInitialLoopsDoNotCollideInCache) {
   // selections {m,n,ka} and {m,n,kb} of this contraction both label
   // "MNK-..." with identical transform matrices. The evaluation-cache key
   // must still tell them apart (it carries the selected loop indices) or
-  // one selection returns the other's cached perf/cost.
+  // one selection hits the other's cached perf/cost: a cold unpruned run
+  // must miss on every design and keep one entry per design.
   tensor::TensorAlgebra algebra(
       "TwoK", {{"m", 4}, {"n", 4}, {"ka", 4}, {"kb", 8}},
       {"C", tensor::accessFromTerms(4, {{0}, {1}})},
@@ -213,20 +199,11 @@ TEST(ServiceCache, SameInitialLoopsDoNotCollideInCache) {
   ExploreQuery q(algebra);
   q.array = array;
   ExplorationService service(accountingOptions(1));
-  const auto cached = service.evaluateAll(q);
-
-  std::size_t i = 0;
-  for (const auto& sel : stt::allLoopSelections(algebra))
-    for (const auto& spec : stt::enumerateTransforms(algebra, sel)) {
-      ASSERT_LT(i, cached.size());
-      const auto perf = sim::estimatePerformance(spec, array);
-      EXPECT_EQ(cached[i].perf.totalCycles, perf.totalCycles)
-          << cached[i].spec.label() << " at index " << i;
-      EXPECT_EQ(cached[i].perf.utilization, perf.utilization)
-          << cached[i].spec.label() << " at index " << i;
-      ++i;
-    }
-  EXPECT_EQ(i, cached.size());
+  const auto cold = service.run(q);
+  EXPECT_EQ(cold.cache.hits, 0u);
+  EXPECT_EQ(cold.cache.misses, cold.designs);
+  EXPECT_EQ(service.cacheStats().entries, cold.designs);
+  expectSameResult(cold, service.run(q));  // warm: all hits
 }
 
 TEST(ServiceCache, ClearCacheRestoresMisses) {
@@ -290,7 +267,7 @@ TEST(ServiceBackends, AsicAndFpgaEvaluationsAreCachedSeparately) {
 TEST(ServiceFrontier, MatchesBruteForceParetoFilter) {
   ExplorationService service(withThreads(1));
   const ExploreQuery q = gemmQuery(Objective::Power);
-  const auto all = service.evaluateAll(q);
+  const auto all = verify::exhaustiveReports(q);
   const auto result = service.run(q);
 
   // Brute-force non-dominated filter with the frontier's tie rule (exact
@@ -331,7 +308,7 @@ TEST(ServiceFrontier, MatchesBruteForceParetoFilter) {
 TEST(ServiceFrontier, PowerWinnerRespectsPerformanceBand) {
   ExplorationService service(withThreads(1));
   const ExploreQuery q = gemmQuery(Objective::Power);
-  const auto all = service.evaluateAll(q);
+  const auto all = verify::exhaustiveReports(q);
   const auto result = service.run(q);
   ASSERT_TRUE(result.best.has_value());
   double bestUtil = 0.0;
@@ -341,14 +318,6 @@ TEST(ServiceFrontier, PowerWinnerRespectsPerformanceBand) {
   for (const auto& r : all)
     if (r.perf.utilization >= 0.9 * bestUtil)
       EXPECT_LE(result.best->figures().powerMw, r.figures().powerMw);
-}
-
-TEST(ServiceAsync, SubmitMatchesRun) {
-  ExplorationService service(withThreads(2));
-  const ExploreQuery q = gemmQuery(Objective::EnergyDelay);
-  auto future = service.submit(q);
-  const auto direct = service.run(q);
-  expectSameResult(future.get(), direct);
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ TEST(PruningDifferential, WarmRunsStayBitIdentical) {
   ExplorationService exhaustive(exhaustiveOptions(1));
   const auto reference = exhaustive.run(q);
   // Prime the pruned service's cache with every evaluation, then rerun.
-  (void)service.evaluateAll(q);
+  primeCache(service, q, "pruning_prime.snap");
   const auto warm = service.run(q);
 
   expectSameResult(reference, cold);

@@ -1,25 +1,30 @@
 // The exhaustive reference for ExplorationService::run()/runBatch(): the
-// frontier and objective winner folded from evaluateAll(), which prices
-// every spec through the scalar models and never prunes. The packed block
-// pipeline, its dominance cuts and its work-unit/block schedule must all be
-// invisible against it. Shared by the service differential tests, together
-// with the report comparators they assert with.
+// frontier and objective winner folded from verify::exhaustiveReports(),
+// which prices every spec through the scalar models with no cache, no pool
+// and no pruning. The packed block pipeline, its dominance cuts, its cache
+// and its work-unit/block schedule must all be invisible against it.
+// Shared by the service differential tests, together with the report
+// comparators they assert with.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "driver/explore_service.hpp"
+#include "driver/snapshot.hpp"
+#include "verify/exhaustive.hpp"
 
 namespace tensorlib::driver {
 
-/// Folds evaluateAll() into the result run() must return: every report
-/// enters a ParetoFrontier in enumeration order (the order tie-break run()
-/// uses), and the winner is picked among the sorted residents.
-inline QueryResult referenceResult(ExplorationService& service,
-                                   const ExploreQuery& query) {
-  std::vector<DesignReport> all = service.evaluateAll(query);
+/// Folds verify::exhaustiveReports() into the result run() must return:
+/// every report enters a ParetoFrontier in enumeration order (the order
+/// tie-break run() uses), and the winner is picked among the sorted
+/// residents.
+inline QueryResult referenceResult(const ExploreQuery& query) {
+  std::vector<DesignReport> all = verify::exhaustiveReports(query);
   ParetoFrontier frontier;
   for (std::size_t i = 0; i < all.size(); ++i) {
     ParetoEntry e;
@@ -59,6 +64,22 @@ inline void expectSameResult(const QueryResult& a, const QueryResult& b) {
     expectSameReport(a.frontier[i], b.frontier[i]);
   ASSERT_EQ(a.best.has_value(), b.best.has_value());
   if (a.best) expectSameReport(*a.best, *b.best);
+}
+
+/// Fills `service`'s evaluation cache with every design point of `query`:
+/// an unpruned run() on a scratch service evaluates them all, and a
+/// snapshot written to `path` (removed afterwards) carries them over.
+inline void primeCache(ExplorationService& service, const ExploreQuery& query,
+                       const std::string& path) {
+  ServiceOptions options;
+  options.threads = 1;
+  options.enablePruning = false;
+  ExplorationService scratch(options);
+  (void)scratch.run(query);
+  const std::string fingerprint = snapshot::cacheSchemaFingerprint();
+  ASSERT_TRUE(scratch.saveSnapshot(path, fingerprint));
+  EXPECT_TRUE(service.restoreSnapshot(path, fingerprint).restored());
+  std::remove(path.c_str());
 }
 
 /// Every design lands in exactly one cache bucket.

@@ -1,7 +1,8 @@
 // Bound-first branch-and-bound enumeration: admissibility of the
 // partial-transform cost bounds, exact/value-set differentials against the
 // classic enumerate-then-dedupe pipeline, and the service-level contract
-// (designs accounting, snapshot flags, deadlines).
+// (designs accounting, the shared candidate memo and evaluation keys,
+// deadlines).
 //
 //   * Partial-bound admissibility fuzz (200 random algebras): for every
 //     sampled candidate, lowerBoundPartial <= lowerBound(completion) <=
@@ -171,48 +172,70 @@ TEST(BoundFirst, ServiceValueSetMatchesClassicMaxEntry3SmallExtents) {
 }
 
 TEST(BoundFirst, CandidateMemoKeyAndSnapshotFlagRoundTrip) {
+  // The candidate generator never reads boundFirst, so both modes at one
+  // maxEntry share one memo entry: one miss, then a hit.
   stt::clearCandidateCache();
   stt::EnumerationOptions bound;
   bound.boundFirst = true;
-  (void)stt::candidateTransformMatrices(bound);
-  (void)stt::candidateTransformMatrices(stt::EnumerationOptions{});
-  const auto exported = stt::exportCandidateCache();
-  ASSERT_GE(exported.size(), 2u);
-  bool sawBoundFirst = false, sawClassic = false;
-  for (const auto& entry : exported) {
-    (entry.boundFirst ? sawBoundFirst : sawClassic) = true;
-  }
-  EXPECT_TRUE(sawBoundFirst);
-  EXPECT_TRUE(sawClassic);
+  const auto before = stt::candidateCacheStats();
+  const auto a = stt::candidateTransformMatrices(bound);
+  const auto b = stt::candidateTransformMatrices(stt::EnumerationOptions{});
+  const auto after = stt::candidateCacheStats();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(a.get(), b.get());
+  ASSERT_EQ(stt::exportCandidateCache().size(), 1u);
 
-  // The flag survives a snapshot save/restore byte-exactly.
+  // The entry survives a snapshot save/restore byte-exactly.
   const std::string path = "boundfirst_snapshot_test.bin";
-  const std::string fingerprint =
-      snapshot::cacheSchemaFingerprint(stt::EnumerationOptions{});
+  const std::string fingerprint = snapshot::cacheSchemaFingerprint();
   ExplorationService service{ServiceOptions{}};
   ASSERT_TRUE(service.saveSnapshot(path, fingerprint));
   stt::clearCandidateCache();
   ExplorationService restored{ServiceOptions{}};
-  EXPECT_EQ(restored.restoreSnapshot(path, fingerprint).status,
-            snapshot::RestoreStatus::Restored);
-  bool restoredBoundFirst = false;
-  for (const auto& entry : stt::exportCandidateCache())
-    if (entry.boundFirst) restoredBoundFirst = true;
-  EXPECT_TRUE(restoredBoundFirst);
+  const auto result = restored.restoreSnapshot(path, fingerprint);
+  EXPECT_EQ(result.status, snapshot::RestoreStatus::Restored);
+  EXPECT_EQ(result.candidateLists, 1u);
+  const auto entries = stt::exportCandidateCache();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].maxEntry, 1);
+  EXPECT_TRUE(entries[0].requireUnimodular);
+  EXPECT_TRUE(entries[0].canonicalize);
+  ASSERT_EQ(entries[0].matrices->size(), a->size());
+  for (std::size_t i = 0; i < a->size(); ++i)
+    ASSERT_EQ((*entries[0].matrices)[i].str(), (*a)[i].str()) << i;
   std::remove(path.c_str());
 }
 
 TEST(BoundFirst, SchemaFingerprintSeparatesBoundFirstDefaults) {
-  // Differently-bounded snapshots must degrade to a clean cold start: the
-  // schema fingerprint differs when the spec-defining boundFirst default
-  // differs, and names the v2 key schema.
-  stt::EnumerationOptions classic;
-  stt::EnumerationOptions bound;
-  bound.boundFirst = true;
-  const std::string a = snapshot::cacheSchemaFingerprint(classic);
-  const std::string b = snapshot::cacheSchemaFingerprint(bound);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(a.rfind("keys-v2;", 0), 0u) << a;
+  // The fingerprint names the cache-key schema and nothing else: an
+  // evaluation key already names algebra, array, backend, selection and
+  // transform, so no enumeration default can make a restored entry wrong.
+  EXPECT_EQ(snapshot::cacheSchemaFingerprint(), "keys-v2");
+}
+
+TEST(BoundFirst, ListAndBoundFirstShareEvaluationKeys) {
+  // With pruning off and dedupe off, the uncut bound-first sweep evaluates
+  // exactly the list's specs. Both modes render a candidate's cache key
+  // through one function, so after a list run() the bound-first run() is
+  // all hits.
+  ServiceOptions options;
+  options.threads = 1;
+  options.enablePruning = false;
+  ExplorationService service(options);
+  ExploreQuery list = gemmQuery(8, 1, false);
+  list.array.rows = list.array.cols = 4;
+  list.enumeration.dedupeBySignature = false;
+  ExploreQuery bound = list;
+  bound.enumeration.boundFirst = true;
+
+  const QueryResult first = service.run(list);
+  EXPECT_EQ(first.cache.misses, first.designs);
+  const QueryResult second = service.run(bound);
+  EXPECT_EQ(second.designs, first.designs);
+  EXPECT_EQ(second.cache.hits, second.designs);
+  EXPECT_EQ(second.cache.misses, 0u);
+  EXPECT_EQ(service.cacheStats().entries, first.designs);
 }
 
 TEST(BoundFirst, DeadlineProducesPartialAccountedResult) {

@@ -156,6 +156,9 @@ TEST(WireMaxEntry, OutOfRangeIsAParseErrorOnEveryRequestKind) {
   };
   const std::string tooManyThreads =
       std::to_string(driver::wire::kMaxThreads + 1);
+  const std::string tooWide = std::to_string(driver::wire::kMaxArraySide + 1);
+  const std::string tooManyLanes =
+      std::to_string(driver::wire::kMaxVectorLanes + 1);
   for (const std::string& head : requests) {
     for (const char* bad : {"0", "-1", "2147483648", "4294967297"}) {
       SCOPED_TRACE(head + bad);
@@ -169,15 +172,24 @@ TEST(WireMaxEntry, OutOfRangeIsAParseErrorOnEveryRequestKind) {
          {"\"rows\": 0", "\"rows\": -3", "\"cols\": 0", "\"data_bytes\": 0",
           "\"data_width\": -7", "\"data_width\": 0", "\"data_width\": 65",
           "\"frequency_mhz\": 0", "\"frequency_mhz\": -320",
-          "\"bandwidth_gbps\": 0", "\"bandwidth_gbps\": -1.5"}) {
+          "\"bandwidth_gbps\": 0", "\"bandwidth_gbps\": -1.5",
+          // Beyond the array caps: 2^32 x 2^32 once overflowed rows * cols.
+          "\"rows\": 4294967296", "\"cols\": 4294967296"}) {
       SCOPED_TRACE(head + bad);
       EXPECT_THROW(driver::wire::parseRequest(
                        support::parseJsonLine(head + bad + "}")),
                    Error);
     }
+    for (const char* field : {"rows", "cols"}) {
+      SCOPED_TRACE(head + field);
+      EXPECT_THROW(driver::wire::parseRequest(support::parseJsonLine(
+                       head + "\"" + field + "\": " + tooWide + "}")),
+                   Error);
+    }
   }
   for (const std::string& head : {requests[0], requests[1]})
-    for (const char* bad : {"0", "-2"}) {
+    for (const std::string& bad : {std::string("0"), std::string("-2"),
+                                   tooManyLanes}) {
       SCOPED_TRACE(head + bad);
       EXPECT_THROW(driver::wire::parseRequest(support::parseJsonLine(
                        head + "\"vector_lanes\": " + bad + "}")),
@@ -206,18 +218,58 @@ TEST(WireMaxEntry, OutOfRangeIsAParseErrorOnEveryRequestKind) {
 
   // The range edges are accepted.
   const auto edges = driver::wire::parseRequest(support::parseJsonLine(
-      requests[2] + "\"rows\": 1, \"cols\": 1, \"data_bytes\": 1, "
-                    "\"data_width\": 64, \"threads\": " +
+      requests[2] + "\"rows\": 1, \"cols\": " +
+      std::to_string(driver::wire::kMaxArraySide) +
+      ", \"data_bytes\": 1, \"data_width\": 64, \"threads\": " +
       std::to_string(driver::wire::kMaxThreads) + "}"));
   EXPECT_EQ(edges.modelOptions.array.rows, 1);
+  EXPECT_EQ(edges.modelOptions.array.cols, driver::wire::kMaxArraySide);
   EXPECT_EQ(edges.modelOptions.dataWidth, 64);
   EXPECT_EQ(edges.modelOptions.threads, driver::wire::kMaxThreads);
   const auto lanes = driver::wire::parseRequest(support::parseJsonLine(
-      requests[0] + "\"vector_lanes\": 1, \"data_width\": 1, "
-                    "\"frequency_mhz\": 0.5, \"bandwidth_gbps\": 0.25}"));
-  EXPECT_EQ(lanes.query->fpga.vectorLanes, 1);
+      requests[0] + "\"vector_lanes\": " +
+      std::to_string(driver::wire::kMaxVectorLanes) +
+      ", \"data_width\": 1, \"frequency_mhz\": 0.5, "
+      "\"bandwidth_gbps\": 0.25}"));
+  EXPECT_EQ(lanes.query->fpga.vectorLanes, driver::wire::kMaxVectorLanes);
   EXPECT_EQ(lanes.query->dataWidth, 1);
   EXPECT_EQ(lanes.query->array.frequencyMHz, 0.5);
+}
+
+// The CLIs' array and datapath flags parse strictly and take the ranges of
+// the request fields of the same name; a violation names the flag.
+TEST(WireFlags, StrictAndRangedLikeTheirFields) {
+  using driver::wire::parseIntFlag;
+  using driver::wire::parsePositiveFlag;
+  EXPECT_EQ(parseIntFlag("--rows", "8", driver::wire::kArraySideRange), 8);
+  EXPECT_EQ(parseIntFlag("--cols", std::to_string(driver::wire::kMaxArraySide),
+                         driver::wire::kArraySideRange),
+            driver::wire::kMaxArraySide);
+  const std::string tooWide = std::to_string(driver::wire::kMaxArraySide + 1);
+  for (const std::string& bad :
+       std::vector<std::string>{"0", "-7", tooWide, "4294967296", "8x", "",
+                                "x", "-", " 8", "+8", "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(parseIntFlag("--rows", bad, driver::wire::kArraySideRange),
+                 Error);
+  }
+  EXPECT_EQ(parseIntFlag("--data-width", "64", driver::wire::kDataWidthRange),
+            64);
+  EXPECT_THROW(
+      parseIntFlag("--data-width", "-7", driver::wire::kDataWidthRange), Error);
+  EXPECT_EQ(parsePositiveFlag("--frequency-mhz", "320"), 320.0);
+  EXPECT_EQ(parsePositiveFlag("--bandwidth-gbps", "0.25"), 0.25);
+  for (const char* bad : {"0", "-1", "inf", "nan", "1x", "", "1e400"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(parsePositiveFlag("--frequency-mhz", bad), Error);
+  }
+  try {
+    parseIntFlag("--rows", "0", driver::wire::kArraySideRange);
+    ADD_FAILURE() << "--rows 0 parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--rows"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(WireCount, StrictDigitsWithinTheCap) {

@@ -18,7 +18,8 @@
 // compiled netlist with inter-layer buffers, executed element-exactly
 // against the composed dense reference (src/verify/model_conformance.*).
 // Exit code 0 iff everything conformed; 2 on usage errors, including a
-// count flag that is not plain digits within its cap.
+// count flag that is not plain digits within its cap and a --rows/--cols
+// outside the range the request fields take.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -84,8 +85,12 @@ int main(int argc, char** argv) {
         seeds = static_cast<std::int64_t>(count(kSeedMax));
       else if (a == "--seed-base") seedBase = std::stoll(next());
       else if (a == "--data-seed") options.dataSeed = std::stoull(next());
-      else if (a == "--rows") options.array.rows = std::stoll(next());
-      else if (a == "--cols") options.array.cols = std::stoll(next());
+      else if (a == "--rows")
+        options.array.rows = driver::wire::parseIntFlag(
+            "--rows", next(), driver::wire::kArraySideRange);
+      else if (a == "--cols")
+        options.array.cols = driver::wire::parseIntFlag(
+            "--cols", next(), driver::wire::kArraySideRange);
       else if (a == "--max-specs") options.maxSpecsPerSelection = count();
       else if (a == "--max-rtl") options.maxRtlSpecs = count();
       else if (a == "--time-budget-ms") timeBudgetMs = std::stoll(next());
@@ -97,6 +102,9 @@ int main(int argc, char** argv) {
       else if (a == "--list") list = true;
       else return usage();
     }
+  } catch (const Error& e) {  // an array flag out of range
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception&) {  // non-numeric / overflowing flag value
     return usage();
   }

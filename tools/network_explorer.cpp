@@ -14,7 +14,8 @@
 // winner, and the service cache stats (repeated layer shapes show up as
 // cache hits; the mappings=[...] counters are tile searches run and
 // reused). Exit codes: 0 success, 1 exploration failure, 2 usage or input
-// errors (including a count flag that is not plain digits within its cap).
+// errors (including a count flag that is not plain digits within its cap,
+// and an array or datapath flag outside the range its request field takes).
 // docs/PROTOCOL.md documents the JSONL model format.
 #include <cstdio>
 #include <limits>
@@ -30,6 +31,7 @@
 namespace {
 
 using namespace tensorlib;
+namespace wire = driver::wire;
 
 int usage() {
   std::printf(
@@ -83,22 +85,31 @@ int main(int argc, char** argv) {
       };
       auto count = [&](std::size_t max =
                            std::numeric_limits<std::size_t>::max()) {
-        const auto v = driver::wire::parseCount(next(), max);
+        const auto v = wire::parseCount(next(), max);
         if (!v) { usage(); std::exit(2); }
         return *v;
       };
       if (a == "--model") model = next();
       else if (a == "--file") file = next();
       else if (a == "--arrays") arraysArg = next();
-      else if (a == "--rows") base.rows = std::stoll(next());
-      else if (a == "--cols") base.cols = std::stoll(next());
-      else if (a == "--bandwidth-gbps") base.bandwidthGBps = std::stod(next());
-      else if (a == "--frequency-mhz") base.frequencyMHz = std::stod(next());
-      else if (a == "--data-bytes") base.dataBytes = std::stoll(next());
-      else if (a == "--data-width") dataWidth = std::stoi(next());
+      else if (a == "--rows")
+        base.rows = wire::parseIntFlag("--rows", next(), wire::kArraySideRange);
+      else if (a == "--cols")
+        base.cols = wire::parseIntFlag("--cols", next(), wire::kArraySideRange);
+      else if (a == "--bandwidth-gbps")
+        base.bandwidthGBps =
+            wire::parsePositiveFlag("--bandwidth-gbps", next());
+      else if (a == "--frequency-mhz")
+        base.frequencyMHz = wire::parsePositiveFlag("--frequency-mhz", next());
+      else if (a == "--data-bytes")
+        base.dataBytes =
+            wire::parseIntFlag("--data-bytes", next(), wire::kDataBytesRange);
+      else if (a == "--data-width")
+        dataWidth = static_cast<int>(
+            wire::parseIntFlag("--data-width", next(), wire::kDataWidthRange));
       else if (a == "--max-entry")
-        maxEntry = driver::wire::checkMaxEntry(std::stoll(next()));
-      else if (a == "--threads") threads = count(driver::wire::kMaxThreads);
+        maxEntry = wire::checkMaxEntry(std::stoll(next()));
+      else if (a == "--threads") threads = count(wire::kMaxThreads);
       else if (a == "--max-frontier") maxFrontier = count();
       else if (a == "--objective") {
         const auto o = driver::parseObjective(next());
@@ -125,10 +136,13 @@ int main(int argc, char** argv) {
   }
   if (model.empty() == file.empty()) return usage();  // exactly one source
 
-  // Model resolution failures are input errors (exit 2, like usage);
-  // failures during exploration below are runtime errors (exit 1).
+  // Model and array-list resolution failures are input errors (exit 2,
+  // like usage); failures during exploration below are runtime errors
+  // (exit 1).
   std::optional<tensor::NetworkSpec> network;
+  std::vector<stt::ArrayConfig> arrays{base};
   try {
+    if (!arraysArg.empty()) arrays = driver::parseArrayList(arraysArg, base);
     if (!file.empty()) {
       network = tensor::workloads::loadNetworkJsonl(file);
     } else {
@@ -144,8 +158,7 @@ int main(int argc, char** argv) {
 
   try {
     driver::NetworkQuery query(*network);
-    query.arrays = arraysArg.empty() ? std::vector<stt::ArrayConfig>{base}
-                                     : driver::parseArrayList(arraysArg, base);
+    query.arrays = arrays;
     query.objective = objective;
     query.backend = backend;
     query.dataWidth = dataWidth;

@@ -7,37 +7,53 @@
 //
 // Workloads: gemm(m,n,k), batched-gemv(m,n,k), conv2d(k,c,y,x,p,q),
 //            depthwise(k,y,x,p,q), mttkrp(i,j,k,l), ttmc(i,j,k,l,m).
+//
+// Exit codes: 0 success, 1 exploration or verification failure, 2 usage or
+// input errors (a malformed or out-of-range flag, an unknown workload or
+// --explore value, malformed dims).
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "driver/session.hpp"
+#include "driver/wire.hpp"
+#include "support/error.hpp"
 #include "tensor/workloads.hpp"
 
 namespace {
 
 using namespace tensorlib;
+namespace wire = driver::wire;
 
 std::vector<std::int64_t> parseDims(const std::string& s) {
   std::vector<std::int64_t> out;
   std::stringstream ss(s);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoll(item));
+  while (std::getline(ss, item, ','))
+    out.push_back(wire::parseIntFlag(
+        "--dims", item, {1, std::numeric_limits<std::int64_t>::max()}));
   return out;
+}
+
+driver::Objective parseExplore(const std::string& name) {
+  if (name == "perf") return driver::Objective::Performance;
+  if (name == "power") return driver::Objective::Power;
+  if (name == "edp") return driver::Objective::EnergyDelay;
+  fail("--explore must be perf|power|edp, got '" + name + "'");
 }
 
 tensor::TensorAlgebra makeWorkload(const std::string& name,
                                    const std::vector<std::int64_t>& d) {
   namespace wl = tensor::workloads;
   auto need = [&](std::size_t n) {
-    if (d.size() != n) {
-      std::fprintf(stderr, "%s needs %zu dims, got %zu\n", name.c_str(), n,
-                   d.size());
-      std::exit(2);
-    }
+    if (d.size() != n)
+      fail(name + " needs " + std::to_string(n) + " dims, got " +
+           std::to_string(d.size()));
   };
   if (name == "gemm") { need(3); return wl::gemm(d[0], d[1], d[2]); }
   if (name == "batched-gemv") { need(3); return wl::batchedGemv(d[0], d[1], d[2]); }
@@ -54,8 +70,7 @@ tensor::TensorAlgebra makeWorkload(const std::string& name,
     need(5);
     return wl::ttmc(d[0], d[1], d[2], d[3], d[4]);
   }
-  std::fprintf(stderr, "unknown workload '%s'\n", name.c_str());
-  std::exit(2);
+  fail("unknown workload '" + name + "'");
 }
 
 int usage() {
@@ -71,78 +86,90 @@ int usage() {
 
 int main(int argc, char** argv) {
   std::string workload, dims, label, explore, verilogPath;
-  std::int64_t rows = 16, cols = 16;
+  stt::ArrayConfig array;
   int width = 16;
   bool verify = false;
+  driver::Objective objective = driver::Objective::Performance;
+  std::optional<tensor::TensorAlgebra> algebra;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) { usage(); std::exit(2); }
-      return argv[++i];
-    };
-    if (a == "--workload") workload = next();
-    else if (a == "--dims") dims = next();
-    else if (a == "--label") label = next();
-    else if (a == "--explore") explore = next();
-    else if (a == "--rows") rows = std::stoll(next());
-    else if (a == "--cols") cols = std::stoll(next());
-    else if (a == "--width") width = std::stoi(next());
-    else if (a == "--verilog") verilogPath = next();
-    else if (a == "--verify") verify = true;
-    else return usage();
-  }
-  if (workload.empty() || dims.empty() || (label.empty() && explore.empty()))
-    return usage();
-
-  const auto algebra = makeWorkload(workload, parseDims(dims));
-  stt::ArrayConfig array;
-  array.rows = rows;
-  array.cols = cols;
-  driver::Session session(algebra, array, width);
-
-  std::printf("workload: %s\n", algebra.str().c_str());
-
-  std::optional<driver::DesignReport> report;
-  if (!label.empty()) {
-    report = session.compileLabel(label);
-    if (!report) {
-      std::fprintf(stderr, "no transform realizes %s\n", label.c_str());
-      return 1;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string a = argv[i];
+      auto next = [&]() -> std::string {
+        if (i + 1 >= argc) { usage(); std::exit(2); }
+        return argv[++i];
+      };
+      if (a == "--workload") workload = next();
+      else if (a == "--dims") dims = next();
+      else if (a == "--label") label = next();
+      else if (a == "--explore") objective = parseExplore(explore = next());
+      else if (a == "--rows")
+        array.rows =
+            wire::parseIntFlag("--rows", next(), wire::kArraySideRange);
+      else if (a == "--cols")
+        array.cols =
+            wire::parseIntFlag("--cols", next(), wire::kArraySideRange);
+      else if (a == "--width")
+        width = static_cast<int>(
+            wire::parseIntFlag("--width", next(), wire::kDataWidthRange));
+      else if (a == "--verilog") verilogPath = next();
+      else if (a == "--verify") verify = true;
+      else return usage();
     }
-  } else {
-    const driver::Objective obj =
-        explore == "power" ? driver::Objective::Power
-        : explore == "edp" ? driver::Objective::EnergyDelay
-                           : driver::Objective::Performance;
-    std::size_t designs = 0;
-    report = session.compileBest(obj, &designs);
-    std::printf("explored %zu designs; best for '%s':\n", designs,
-                explore.c_str());
+    if (workload.empty() || dims.empty() || (label.empty() && explore.empty()))
+      return usage();
+    algebra = makeWorkload(workload, parseDims(dims));
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
-  std::printf("%s\n", report->summary().c_str());
-  std::printf("%s\n", report->spec.describe().c_str());
+  // Failures past this point are exploration or verification failures.
+  try {
+    driver::Session session(*algebra, array, width);
+    std::printf("workload: %s\n", algebra->str().c_str());
 
-  if (verify) {
-    const bool behavioral = session.verifyBehavioral(*report);
-    std::printf("behavioral verification: %s\n", behavioral ? "PASS" : "FAIL");
-    bool rtl = false;
-    try {
-      rtl = session.verifyRtl(*report);
-      std::printf("RTL verification: %s\n", rtl ? "PASS" : "FAIL");
-    } catch (const Error& e) {
-      std::printf("RTL verification: skipped (%s)\n", e.what());
-      rtl = true;
+    std::optional<driver::DesignReport> report;
+    if (!label.empty()) {
+      report = session.compileLabel(label);
+      if (!report) {
+        std::fprintf(stderr, "no transform realizes %s\n", label.c_str());
+        return 1;
+      }
+    } else {
+      std::size_t designs = 0;
+      report = session.compileBest(objective, &designs);
+      std::printf("explored %zu designs; best for '%s':\n", designs,
+                  explore.c_str());
     }
-    if (!behavioral || !rtl) return 1;
-  }
 
-  if (!verilogPath.empty()) {
-    const std::string v = session.emitVerilog(*report);
-    std::ofstream(verilogPath) << v;
-    std::printf("wrote %zu bytes of Verilog to %s\n", v.size(),
-                verilogPath.c_str());
+    std::printf("%s\n", report->summary().c_str());
+    std::printf("%s\n", report->spec.describe().c_str());
+
+    if (verify) {
+      const bool behavioral = session.verifyBehavioral(*report);
+      std::printf("behavioral verification: %s\n",
+                  behavioral ? "PASS" : "FAIL");
+      bool rtl = false;
+      try {
+        rtl = session.verifyRtl(*report);
+        std::printf("RTL verification: %s\n", rtl ? "PASS" : "FAIL");
+      } catch (const Error& e) {
+        std::printf("RTL verification: skipped (%s)\n", e.what());
+        rtl = true;
+      }
+      if (!behavioral || !rtl) return 1;
+    }
+
+    if (!verilogPath.empty()) {
+      const std::string v = session.emitVerilog(*report);
+      std::ofstream(verilogPath) << v;
+      std::printf("wrote %zu bytes of Verilog to %s\n", v.size(),
+                  verilogPath.c_str());
+    }
+    return 0;
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
-  return 0;
 }
