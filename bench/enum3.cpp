@@ -1,32 +1,30 @@
-// Bound-first branch-and-bound enumeration vs the classic
-// enumerate → dedupe → analyze → bound → prune pipeline — the PR-9 perf
-// anchor: breaking the maxEntry wall.
+// The maxEntry wall: a cold gemm-256 exploration at maxEntry = 3, gated by
+// an absolute wall-clock budget.
 //
-// The classic pipeline materializes a DataflowSpec for every canonical
-// candidate (80k+ at maxEntry=3) before any bound can cut it. The
-// bound-first search prices each candidate's PARTIAL transform (space rows
-// only) against the streaming incumbent frontier first, quotients the
-// survivors by evaluation class, and packs them straight into
-// SpecBlockSet windows — so dominated subtrees never become specs at all.
+// The design space is built once as the evaluation-class quotient
+// (stt::packDesignSpace: every canonical candidate fast-classified, one
+// representative per evaluation class, packed straight into a
+// SpecBlockSet) and priced through the service's one block pipeline —
+// cache peek, packed lower-bound cuts, packed evaluation — so only frontier
+// keepers are ever analyzed into a DataflowSpec.
 //
 // Three measurements:
-//   diff2   gemm-256, maxEntry=2: bound-first frontier value set must equal
-//           the classic one (the exhaustive-space differential).
-//   diff3   gemm-8, maxEntry=3: same differential against the UNCUT
-//           classic sweep of the full maxEntry=3 space (small workload).
-//   enum3   gemm-256, maxEntry=3: the gate — bound-first exploration must
-//           finish inside the committed wall-clock budget; classic time and
-//           speedup are recorded beside it.
+//   diff2   gemm-256, maxEntry=2: the quotient's frontier value set must
+//           equal the exact candidate stream's (dedupeBySignature off).
+//   diff3   gemm-8, maxEntry=3: the same differential over the full
+//           maxEntry=3 space (small workload).
+//   enum3   gemm-256, maxEntry=3: the gate — a cold exploration (cold
+//           service, cold candidate memo) must finish inside the committed
+//           budget.
 //
-// Representatives differ across modes by design (class quotient vs
-// signature dedupe), so differentials compare the frontier's unique
-// (label, cycles, power, area, utilization) value tuples, never transform
-// strings.
+// The quotient keeps one representative per class where the stream keeps
+// every candidate, so differentials compare the frontier's unique (label,
+// cycles, power, area, utilization) value tuples, never transform strings.
 //
 // Merges an "enum3" section into BENCH_hotpaths.json.
 //
 // Usage: bench_enum3 [--smoke] [--out <path>]
-//   --smoke   maxEntry<=2 spaces, correctness asserts only, no timing gates
+//   --smoke   maxEntry<=2 spaces, correctness asserts only, no timing gate
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -34,7 +32,6 @@
 #include <sstream>
 #include <string>
 #include <tuple>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "driver/explore_service.hpp"
@@ -51,17 +48,15 @@ double msSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
 
-/// Committed budget for the gated maxEntry=3 gemm-256 bound-first
-/// exploration (cold service, cold candidate memo). Measured ~1.8 s on the
-/// reference container (classic ~3.7 s); the budget carries ~1.7x headroom
-/// for CI noise while staying under the classic pipeline's time.
-constexpr double kGateMaxBoundFirstE3Ms = 3000.0;
+/// Committed budget for the gated maxEntry=3 gemm-256 exploration (cold
+/// service, cold candidate memo).
+constexpr double kGateMaxE3Ms = 3000.0;
 
 driver::ExploreQuery gemmQuery(std::int64_t extent, int maxEntry,
-                               bool boundFirst) {
+                               bool quotient) {
   driver::ExploreQuery q(tensor::workloads::gemm(extent, extent, extent));
   q.enumeration.maxEntry = maxEntry;
-  q.enumeration.boundFirst = boundFirst;
+  q.enumeration.dedupeBySignature = quotient;
   return q;
 }
 
@@ -77,9 +72,9 @@ std::set<FrontierValue> frontierValues(const driver::QueryResult& r) {
   return values;
 }
 
-/// Cross-mode frontier equality: unique value tuples plus the winner's
-/// figures (representative choice and tie multiplicity legitimately differ
-/// between signature dedupe and the evaluation-class quotient).
+/// Quotient-vs-stream frontier equality: unique value tuples plus the
+/// winner's figures (representatives and tie multiplicity legitimately
+/// differ).
 void checkSameValueSets(const driver::QueryResult& a,
                         const driver::QueryResult& b, const char* what) {
   TL_CHECK(!a.timedOut && !b.timedOut, std::string(what) + ": timed out");
@@ -104,12 +99,14 @@ driver::QueryResult runCold(const driver::ExploreQuery& q, double* ms) {
   return r;
 }
 
-struct Enum3Report {
-  double classicE3Ms = 0, boundE3Ms = 0;
-  std::size_t classicDesigns = 0, boundDesigns = 0;
-  std::uint64_t boundPruned = 0;
-  double speedup() const { return classicE3Ms / boundE3Ms; }
-};
+/// The quotient and the stream of one query, each cold.
+void checkQuotientExact(std::int64_t extent, int maxEntry, const char* what) {
+  checkSameValueSets(runCold(gemmQuery(extent, maxEntry, true), nullptr),
+                     runCold(gemmQuery(extent, maxEntry, false), nullptr),
+                     what);
+  std::printf("  %s   gemm-%lld maxEntry=%d: frontier value sets equal\n",
+              what, static_cast<long long>(extent), maxEntry);
+}
 
 }  // namespace
 
@@ -126,17 +123,11 @@ int main(int argc, char** argv) {
   }
 
   try {
-    bench::printHeader(smoke ? "Bound-first enumeration (smoke)"
-                             : "Bound-first branch-and-bound vs classic");
+    bench::printHeader(smoke ? "maxEntry=3 exploration (smoke)"
+                             : "maxEntry=3 exploration");
 
-    // diff2 — exhaustive-space differential at maxEntry=2 (gemm-16 in
-    // smoke mode keeps CI fast; gemm-256 in full mode).
-    const std::int64_t diff2Extent = smoke ? 16 : 256;
-    checkSameValueSets(runCold(gemmQuery(diff2Extent, 2, false), nullptr),
-                       runCold(gemmQuery(diff2Extent, 2, true), nullptr),
-                       "diff2");
-    std::printf("  diff2   gemm-%lld maxEntry=2: frontier value sets equal\n",
-                static_cast<long long>(diff2Extent));
+    // diff2 — gemm-16 in smoke mode keeps CI fast; gemm-256 in full mode.
+    checkQuotientExact(smoke ? 16 : 256, 2, "diff2");
 
     if (smoke) {
       std::ostringstream line;
@@ -147,45 +138,29 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    // diff3 — maxEntry=3 differential against the uncut classic sweep on a
-    // small workload.
-    checkSameValueSets(runCold(gemmQuery(8, 3, false), nullptr),
-                       runCold(gemmQuery(8, 3, true), nullptr), "diff3");
-    std::printf("  diff3   gemm-8 maxEntry=3: frontier value sets equal\n");
+    checkQuotientExact(8, 3, "diff3");
 
-    // enum3 — the gated timing: cold bound-first vs cold classic, gemm-256.
-    Enum3Report r;
-    const driver::QueryResult classic =
-        runCold(gemmQuery(256, 3, false), &r.classicE3Ms);
-    const driver::QueryResult bound =
-        runCold(gemmQuery(256, 3, true), &r.boundE3Ms);
-    checkSameValueSets(classic, bound, "enum3");
-    r.classicDesigns = classic.designs;
-    r.boundDesigns = bound.designs;
-    r.boundPruned = bound.cache.pruned;
-    std::printf(
-        "  enum3   gemm-256 maxEntry=3: classic %.1f ms (%zu designs) | "
-        "bound-first %.1f ms (%zu designs, %llu pruned) | %.2fx\n",
-        r.classicE3Ms, r.classicDesigns, r.boundE3Ms, r.boundDesigns,
-        static_cast<unsigned long long>(r.boundPruned), r.speedup());
+    // enum3 — the gated timing.
+    double ms = 0;
+    const driver::QueryResult r = runCold(gemmQuery(256, 3, true), &ms);
+    TL_CHECK(!r.timedOut && r.best.has_value(), "enum3: no winner");
+    std::printf("  enum3   gemm-256 maxEntry=3: %.1f ms (%zu designs, %llu "
+                "pruned)\n",
+                ms, r.designs, static_cast<unsigned long long>(r.cache.pruned));
 
-    const bool pass = r.boundE3Ms <= kGateMaxBoundFirstE3Ms;
+    const bool pass = ms <= kGateMaxE3Ms;
     std::ostringstream line;
     line << "\"enum3\": {\"workload\": \"gemm256\", \"max_entry\": 3"
-         << ", \"classic_ms\": " << r.classicE3Ms
-         << ", \"boundfirst_ms\": " << r.boundE3Ms
-         << ", \"speedup\": " << r.speedup()
-         << ", \"classic_designs\": " << r.classicDesigns
-         << ", \"boundfirst_designs\": " << r.boundDesigns
-         << ", \"boundfirst_pruned\": " << r.boundPruned
-         << ", \"gate_max_boundfirst_ms\": " << kGateMaxBoundFirstE3Ms
+         << ", \"ms\": " << ms << ", \"designs\": " << r.designs
+         << ", \"pruned\": " << r.cache.pruned
+         << ", \"gate_max_ms\": " << kGateMaxE3Ms
          << ", \"pass\": " << (pass ? "true" : "false") << "}";
     bench::mergeJsonSection(out, "enum3", line.str());
     std::printf("  merged into %s\n", out.c_str());
 
     if (!pass)
-      std::printf("  GATE FAIL: bound-first maxEntry=3 %.1f ms > %.1f ms\n",
-                  r.boundE3Ms, kGateMaxBoundFirstE3Ms);
+      std::printf("  GATE FAIL: maxEntry=3 %.1f ms > %.1f ms\n", ms,
+                  kGateMaxE3Ms);
     return pass ? 0 : 1;
   } catch (const tensorlib::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -122,11 +122,6 @@ StructureInventory baseInventory(std::size_t inputCount,
 
 }  // namespace
 
-StructureInventory baseStructureInventory(std::size_t inputCount,
-                                          const stt::ArrayConfig& config) {
-  return baseInventory(inputCount, config);
-}
-
 StructureInventory deriveInventory(const stt::DataflowSpec& spec,
                                    const stt::ArrayConfig& config,
                                    int dataWidth) {

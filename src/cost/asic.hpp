@@ -46,15 +46,6 @@ StructureInventory deriveInventory(const stt::SpecBlockSet& set, std::size_t i,
                                    const stt::ArrayConfig& config,
                                    int dataWidth);
 
-/// The class-independent floor of deriveInventory: PEs and multipliers,
-/// which every design on the array pays before any per-tensor structure is
-/// added. addTensorStructures only ever *increments* inventory fields, so
-/// pricing this base is a provable lower bound on the figures of every
-/// spec of the (algebra, array) pair — the partial-transform cost floor of
-/// the bound-first enumeration.
-StructureInventory baseStructureInventory(std::size_t inputCount,
-                                          const stt::ArrayConfig& config);
-
 /// 55nm-class unit costs. Defaults are the calibrated values used by the
 /// Fig. 6 bench; exposed so ablations can vary them.
 struct AsicCostTable {

@@ -67,22 +67,6 @@ class AsicBackend final : public CostBackend {
     return b;
   }
 
-  CostBound lowerBoundPartial(const stt::PartialTransform& partial,
-                              const stt::ArrayConfig& array) const override {
-    // Cycles: the partial packed bound equals the packed bound of every
-    // completion (the formula never reads the time row). Figures: the
-    // class-independent inventory floor — addTensorStructures only
-    // increments fields and asicFromInventory is monotone in all of them,
-    // so this never exceeds any completion's exact figures.
-    CostBound b;
-    b.cycles = static_cast<double>(sim::cyclesLowerBound(partial, array));
-    b.figures = asicFromInventory(
-                    baseStructureInventory(partial.geometry->inputCount, array),
-                    dataWidth_, table_)
-                    .figures();
-    return b;
-  }
-
   // The ASIC array runs as configured: one mapping slot per mapping class.
   std::size_t blockSlotCount(const stt::SpecBlockSet& set) const override {
     return set.mapClassCount;
@@ -159,25 +143,6 @@ class FpgaBackend final : public CostBackend {
     b.cycles = static_cast<double>(
         sim::cyclesLowerBound(spec, fpgaPerfConfig(spec, array, config_)));
     b.figures = estimateFpgaResources(spec, array, config_).figures();
-    return b;
-  }
-
-  CostBound lowerBoundPartial(const stt::PartialTransform& partial,
-                              const stt::ArrayConfig& array) const override {
-    // A completion's frequency tier depends on class tags that don't exist
-    // yet, so price at tier 2 — the lowest post-route frequency, which
-    // maximizes wordsPerCycle (smallest admissible cycle bound) and
-    // minimizes the frequency-scaled power term; tier frequencies only
-    // grow from there (221 < 231 < 263 MHz). Resources use the
-    // class-independent inventory floor, monotone under completion.
-    CostBound b;
-    b.cycles = static_cast<double>(
-        sim::cyclesLowerBound(partial, tierPerfConfig(array, 2)));
-    const std::int64_t pes = array.rows * array.cols;
-    b.figures = fpgaFromInventory(
-                    baseStructureInventory(partial.geometry->inputCount, array),
-                    fpgaTierFrequencyMHz(2, config_), pes, config_)
-                    .figures();
     return b;
   }
 

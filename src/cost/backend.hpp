@@ -76,16 +76,6 @@ class CostBackend {
   virtual CostBound lowerBound(const stt::DataflowSpec& spec,
                                const stt::ArrayConfig& array) const = 0;
 
-  /// Lower bound over EVERY full-rank completion of a partial transform
-  /// (both space rows placed, time row free): for any completion c,
-  /// lowerBoundPartial(p) <= lowerBound(c) <= true figures, in every axis.
-  /// This is the bound-first enumeration's subtree cut predicate — it runs
-  /// before a DataflowSpec or SpecContext exists. A backend with no real
-  /// partial bound may return the trivial one (1 cycle, zero figures),
-  /// which no incumbent can strictly dominate: it just never cuts.
-  virtual CostBound lowerBoundPartial(const stt::PartialTransform& partial,
-                                      const stt::ArrayConfig& array) const = 0;
-
   // ---- block-shaped entry points -------------------------------------
   // The struct-of-arrays siblings of lowerBound/estimatePerf/evaluate that
   // run()/runBatch() price every design through: same results bit for

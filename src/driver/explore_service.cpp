@@ -1,6 +1,7 @@
 #include "driver/explore_service.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
@@ -48,30 +49,36 @@ std::string enumKey(const stt::EnumerationOptions& o) {
   return os.str();
 }
 
-/// A candidate's evaluation-cache key suffix, "i.j.k.|letters|matrix" — the
-/// one rendering list and bound-first queries share, so both modes hit
-/// each other's entries. The selection's loop INDICES are part of the key:
+/// A candidate's evaluation-cache key suffix, "i.j.k.|letters|matrix". The
+/// selection's loop INDICES are part of the key:
 /// labels abbreviate loops to initials, so two selections over
 /// same-initial loops (e.g. {m,n,ka} and {m,n,kb}) would otherwise collide
 /// at equal transforms.
 std::string specKey(const stt::LoopSelection& selection,
                     std::string_view letters, const linalg::IntMatrix& matrix) {
-  std::ostringstream os;
-  for (std::size_t idx : selection.indices()) os << idx << ".";
-  os << "|" << letters << "|" << matrix.str();
-  return os.str();
-}
-
-/// Packs a partial transform's six |entry| values (each < 2^10 for any
-/// sane maxEntry) into the bound-memo key. The bound depends only on these
-/// and the selection geometry, so the memo is scoped per selection.
-std::uint64_t partialBoundKey(const stt::PartialTransform& p) {
-  std::uint64_t k = 0;
-  for (int j = 0; j < 3; ++j)
-    k = (k << 10) | static_cast<std::uint64_t>(p.absRow0[j] & 1023);
-  for (int j = 0; j < 3; ++j)
-    k = (k << 10) | static_cast<std::uint64_t>(p.absRow1[j] & 1023);
-  return k;
+  // Rendered with to_chars, not a stream: a design space renders one key
+  // per slot. The matrix part is exactly matrix.str().
+  std::string key;
+  char digits[24];
+  const auto put = [&](auto v) {
+    key.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+  };
+  for (std::size_t idx : selection.indices()) {
+    put(idx);
+    key += '.';
+  }
+  key += '|';
+  key += letters;
+  key += "|[";
+  for (std::size_t r = 0; r < matrix.rows(); ++r) {
+    if (r) key += "; ";
+    for (std::size_t c = 0; c < matrix.cols(); ++c) {
+      if (c) key += ' ';
+      put(matrix.at(r, c));
+    }
+  }
+  key += ']';
+  return key;
 }
 
 ParetoEntry paretoEntryOf(const sim::PerfResult& perf,
@@ -89,8 +96,7 @@ ParetoEntry paretoEntryOf(const sim::PerfResult& perf,
 
 using Clock = std::chrono::steady_clock;
 
-/// Candidates per evaluation block of a list query, and per packed window
-/// of a bound-first query. A block never spans a work unit.
+/// Candidates per evaluation block. A block never spans a work unit.
 constexpr std::size_t kBlockSpecs = 64;
 
 /// One query's wall-clock budget, measured from batch entry and shared by
@@ -115,10 +121,8 @@ struct UnitOut {
   ParetoFrontier frontier;
   std::unordered_map<std::size_t, DesignReport> kept;  ///< order -> report
   std::uint64_t hits = 0, misses = 0, pruned = 0, skipped = 0;
-  std::uint64_t designs = 0;  ///< bound-first only: candidates handled
-  /// Packed evaluations this unit ran (each reads one mapping-store slot),
-  /// and — bound-first only — tile searches its per-window stores ran.
-  std::uint64_t evaluations = 0, searches = 0;
+  /// Packed evaluations this unit ran (each reads one mapping-store slot).
+  std::uint64_t evaluations = 0;
 };
 
 }  // namespace
@@ -161,14 +165,14 @@ struct ExplorationService::Impl {
     std::uint64_t hits = 0, misses = 0, evictions = 0;
   };
 
-  /// Memoized enumerated design space with its packed view and per-spec
-  /// cache-key suffixes, built once per list no matter how many queries
-  /// share it (in-flight holders keep evicted lists alive through the
-  /// shared_ptr).
-  struct SpecListEntry {
+  /// Memoized design space (stt::packDesignSpace: the uncut evaluation-
+  /// class quotient, shared by every array, backend and objective) with
+  /// its per-slot cache-key suffixes, built once per (algebra, enumeration)
+  /// no matter how many queries share it (in-flight holders keep evicted
+  /// spaces alive through the shared_ptr).
+  struct SpaceEntry {
     std::once_flag once;
-    std::shared_ptr<const std::vector<stt::DataflowSpec>> specs;
-    std::shared_ptr<const stt::SpecBlockSet> block;
+    std::shared_ptr<const stt::DesignSpace> space;
     std::vector<std::string> specKeys;
   };
 
@@ -203,7 +207,7 @@ struct ExplorationService::Impl {
   std::atomic<std::uint64_t> mappingHits{0}, mappingMisses{0};
 
   std::mutex specMutex;
-  std::unordered_map<std::string, std::shared_ptr<SpecListEntry>> specMap;
+  std::unordered_map<std::string, std::shared_ptr<SpaceEntry>> specMap;
   std::deque<std::string> specFifo;
 
   explicit Impl(ServiceOptions opts)
@@ -302,16 +306,16 @@ struct ExplorationService::Impl {
     return true;
   }
 
-  std::shared_ptr<SpecListEntry> specEntry(const ExploreQuery& q) {
+  std::shared_ptr<SpaceEntry> specEntry(const ExploreQuery& q) {
     const std::string key = algebraKey(q.algebra) + "|" + enumKey(q.enumeration);
-    std::shared_ptr<SpecListEntry> entry;
+    std::shared_ptr<SpaceEntry> entry;
     {
       std::lock_guard<std::mutex> lock(specMutex);
       auto it = specMap.find(key);
       if (it != specMap.end()) {
         entry = it->second;
       } else {
-        entry = std::make_shared<SpecListEntry>();
+        entry = std::make_shared<SpaceEntry>();
         specMap.emplace(key, entry);
         specFifo.push_back(key);
         while (specMap.size() > std::max<std::size_t>(1, options.specListCacheCapacity)) {
@@ -321,13 +325,14 @@ struct ExplorationService::Impl {
       }
     }
     std::call_once(entry->once, [&] {
-      entry->specs = std::make_shared<const std::vector<stt::DataflowSpec>>(
-          stt::enumerateDesignSpace(q.algebra, q.enumeration));
-      entry->block = stt::packSpecBlocks(*entry->specs);
-      entry->specKeys.reserve(entry->specs->size());
-      for (const stt::DataflowSpec& spec : *entry->specs)
-        entry->specKeys.push_back(specKey(spec.selection(), spec.letters(),
-                                          spec.transform().matrix()));
+      auto space = std::make_shared<const stt::DesignSpace>(
+          stt::packDesignSpace(q.algebra, q.enumeration));
+      entry->specKeys.reserve(space->size());
+      for (std::size_t i = 0; i < space->size(); ++i)
+        entry->specKeys.push_back(specKey(space->context(i)->selection,
+                                          space->letters(i),
+                                          space->matrix(i)));
+      entry->space = std::move(space);
     });
     return entry;
   }
@@ -337,30 +342,27 @@ struct ExplorationService::Impl {
            backend.cacheKey() + "|";
   }
 
-  /// The one evaluation routine of run()/runBatch(), shared by list
-  /// queries (blocks of their packed list) and bound-first queries (packed
-  /// windows of search survivors). Three passes over candidates
-  /// [begin, end) of `set`:
+  /// The one evaluation routine of run()/runBatch(). Three passes over
+  /// slots [begin, end) of the query's design space:
   ///   1. cache peek — resident evaluations are cheaper than bounding, so
   ///      hits bypass the bound pass;
-  ///   2. one packed lowerBoundBlock over the non-resident candidates, each
-  ///      cut when an incumbent (the snapshot or the unit's own frontier)
+  ///   2. one packed lowerBoundBlock over the non-resident slots, each cut
+  ///      when an incumbent (the snapshot or the unit's own frontier)
   ///      strictly dominates its bound — all before any tile search;
   ///   3. forceBlock on the survivors in index order, folded into the
   ///      unit's streaming frontier. Only frontier keepers pay for a
-  ///      DataflowSpec (`specOf(i)`).
-  /// With pruning off, passes 1 and 2 are skipped and every candidate is
-  /// evaluated. Candidate i's cache key is keyPrefix + keySuffixes[i] and
-  /// its frontier order is orderBase + i.
-  template <typename SpecOf>
-  void runBlock(UnitRun& run, const stt::SpecBlockSet& set, std::size_t begin,
-                std::size_t end, std::size_t orderBase,
-                const std::vector<std::string>& keySuffixes,
-                stt::BlockMappingStore& store, const SpecOf& specOf) {
+  ///      DataflowSpec (DesignSpace::spec).
+  /// With pruning off, passes 1 and 2 are skipped and every slot is
+  /// evaluated. Slot i's cache key is keyPrefix + space.specKeys[i] and its
+  /// frontier order is i.
+  void runBlock(UnitRun& run, const SpaceEntry& entry, std::size_t begin,
+                std::size_t end, stt::BlockMappingStore& store) {
+    const stt::DesignSpace& space = *entry.space;
+    const stt::SpecBlockSet& set = space.blocks;
     UnitOut& out = run.out;
     const auto keyOf = [&](std::size_t i) -> const std::string& {
       run.key.assign(run.keyPrefix);
-      run.key.append(keySuffixes[i]);
+      run.key.append(entry.specKeys[i]);
       return run.key;
     };
     run.resident.assign(end - begin, nullptr);
@@ -368,12 +370,12 @@ struct ExplorationService::Impl {
     run.pending.clear();
     if (options.enablePruning) {
       for (std::size_t i = begin; i < end; ++i) {
-        std::shared_ptr<EvalEntry> entry = peekEntry(keyOf(i));
-        if (entry)
+        std::shared_ptr<EvalEntry> eval = peekEntry(keyOf(i));
+        if (eval)
           run.state[i - begin] = 1;
         else
           run.pending.push_back(i);
-        run.resident[i - begin] = std::move(entry);
+        run.resident[i - begin] = std::move(eval);
       }
     }
     if (!run.pending.empty()) {
@@ -394,110 +396,21 @@ struct ExplorationService::Impl {
     }
     for (std::size_t i = begin; i < end; ++i) {
       if (run.state[i - begin] == 2) continue;
-      std::shared_ptr<EvalEntry> entry = std::move(run.resident[i - begin]);
+      std::shared_ptr<EvalEntry> eval = std::move(run.resident[i - begin]);
       bool hit = run.state[i - begin] == 1;
-      if (!entry) std::tie(entry, hit) = evalEntry(keyOf(i));
-      if (forceBlock(entry, set, i, run.query.array, run.backend, store))
+      if (!eval) std::tie(eval, hit) = evalEntry(keyOf(i));
+      if (forceBlock(eval, set, i, run.query.array, run.backend, store))
         ++out.evaluations;
       (hit ? out.hits : out.misses) += 1;
       run.evicted.clear();
-      const std::size_t order = orderBase + i;
-      if (out.frontier.insert(paretoEntryOf(entry->perf, entry->cost.figures,
-                                            order, set.labels[i]),
+      if (out.frontier.insert(paretoEntryOf(eval->perf, eval->cost.figures, i,
+                                            set.labels[i]),
                               &run.evicted))
-        out.kept.emplace(order, DesignReport(specOf(i), entry->perf, entry->cost));
+        out.kept.emplace(i, DesignReport(space.spec(i), eval->perf, eval->cost));
       for (std::size_t o : run.evicted) out.kept.erase(o);
     }
   }
 
-  /// A bound-first query's single work unit. The branch-and-bound search
-  /// streams survivors into a reusable packed window; each full window runs
-  /// through runBlock(). The unit's own streaming frontier doubles as the
-  /// incumbent the partial-transform cut prices against (one unit per
-  /// query, so there is nothing to snapshot). DataflowSpecs are
-  /// materialized lazily, only for frontier keepers.
-  void runBoundFirst(UnitRun& run, Deadline& deadline) {
-    UnitOut& out = run.out;
-    stt::SpecBlockSet window;
-    std::vector<linalg::IntMatrix> matrices;  ///< signed, for lazy analyze
-    std::vector<std::string> keySuffixes;
-    std::unordered_map<std::uint64_t, cost::CostBound> boundMemo;
-    std::size_t emitted = 0;  ///< representatives so far: the frontier order
-    const tensor::TensorAlgebra& algebra = run.query.algebra;
-    for (const stt::LoopSelection& selection :
-         stt::allLoopSelections(algebra)) {
-      if (deadline.expired()) break;  // unreached candidates are not designs
-      const stt::SpecContextPtr context =
-          stt::makeSpecContext(algebra, selection);
-      const stt::SelectionGeometry geometry =
-          stt::makeSelectionGeometry(*context);
-      boundMemo.clear();  // the partial bound reads this geometry
-      const auto resetWindow = [&] {
-        stt::resetSpecBlocks(window, geometry);
-        matrices.clear();
-        keySuffixes.clear();
-      };
-      resetWindow();
-      const auto flushWindow = [&] {
-        const std::size_t count = window.count;
-        if (count == 0) return;
-        if (deadline.expired()) {
-          out.skipped += count;  // emitted but never evaluated
-        } else {
-          stt::assignSpecBlockClasses(window);
-          stt::BlockMappingStore store(run.backend.blockSlotCount(window));
-          runBlock(run, window, 0, count, emitted - count, keySuffixes, store,
-                   [&](std::size_t i) {
-                     return stt::analyzeDataflow(
-                         context, stt::SpaceTimeTransform(matrices[i]));
-                   });
-          out.searches += store.searches();
-        }
-        resetWindow();
-      };
-      stt::BoundFirstHooks hooks;
-      if (options.enablePruning)
-        hooks.cut = [&](const stt::PartialTransform& partial) {
-          const std::uint64_t k = partialBoundKey(partial);
-          auto it = boundMemo.find(k);
-          if (it == boundMemo.end())
-            it = boundMemo
-                     .emplace(k, run.backend.lowerBoundPartial(
-                                     partial, run.query.array))
-                     .first;
-          // Memoize only the BOUND: the incumbent frontier grows during
-          // the sweep, so the cut decision is re-taken every time.
-          const ParetoCost boundCost{it->second.cycles,
-                                     it->second.figures.powerMw,
-                                     it->second.figures.area, 0.0};
-          if (finiteCost(boundCost) &&
-              out.frontier.strictlyDominates(boundCost)) {
-            ++out.pruned;
-            ++out.designs;
-            return true;
-          }
-          return false;
-        };
-      hooks.emit = [&](const stt::BoundFirstCandidate& c) {
-        stt::appendSpecBlock(window, geometry, *c.matrix, c.classTag,
-                             c.absDir, c.systolicDt,
-                             geometry.selectionLabel + "-" + c.letters);
-        matrices.push_back(*c.matrix);
-        keySuffixes.push_back(specKey(selection, c.letters, *c.matrix));
-        ++emitted;
-        ++out.designs;
-        if (window.count >= kBlockSpecs) flushWindow();
-      };
-      if (deadline.armed) hooks.shouldStop = [&] { return deadline.expired(); };
-      const stt::BoundFirstStats st = stt::enumerateBoundFirst(
-          context, geometry, run.query.enumeration, hooks);
-      if (st.stopped) {
-        out.skipped += window.count;
-        break;
-      }
-      flushWindow();
-    }
-  }
 };
 
 ExplorationService::ExplorationService(ServiceOptions options)
@@ -511,44 +424,35 @@ std::vector<QueryResult> ExplorationService::runBatch(
   std::vector<QueryResult> results(n);
   if (n == 0) return results;
 
-  // Phase 1: resolve each query's backend and cache-key prefix. A list
-  // query also fetches its cached design space (enumerated, packed and
-  // keyed once per list) and sizes a per-query mapping store: one slot per
-  // mapping class times the backend's operating-point fan-out. A
-  // bound-first query never materializes a spec list: its unit builds
-  // each selection's context and geometry as the search reaches it.
+  // Phase 1: resolve each query's backend and cache-key prefix, fetch its
+  // cached design space (packed and keyed once per (algebra, enumeration))
+  // and size a per-query mapping store: one slot per mapping class times
+  // the backend's operating-point fan-out.
   struct QueryPlan {
     std::shared_ptr<const cost::CostBackend> backend;
     std::string keyPrefix;
-    std::shared_ptr<Impl::SpecListEntry> list;      ///< list queries
-    std::unique_ptr<stt::BlockMappingStore> store;  ///< list queries
+    std::shared_ptr<Impl::SpaceEntry> entry;
+    std::unique_ptr<stt::BlockMappingStore> store;
   };
   std::vector<QueryPlan> plans(n);
   parallelForOn(impl_->pool, n, [&](std::size_t i) {
     QueryPlan& plan = plans[i];
     plan.backend = makeBackend(batch[i]);
     plan.keyPrefix = impl_->evalPrefix(batch[i], *plan.backend);
-    if (batch[i].enumeration.boundFirst) return;
-    plan.list = impl_->specEntry(batch[i]);
+    plan.entry = impl_->specEntry(batch[i]);
     plan.store = std::make_unique<stt::BlockMappingStore>(
-        plan.backend->blockSlotCount(*plan.list->block));
+        plan.backend->blockSlotCount(plan.entry->space->blocks));
   });
 
   // Phase 2: shard every query's space into work units; fan the whole
-  // batch's units out together so a wide query cannot serialize the batch.
-  // A bound-first query is one serial unit — its branch-and-bound sweep is
-  // inherently sequential (the streaming incumbent IS the cut), and the
-  // batch still parallelizes across queries.
+  // batch's units out together so a wide query cannot serialize the batch
+  // and one large query uses every worker.
   struct Unit {
     std::size_t query, begin, end;
   };
   std::vector<Unit> units;
   for (std::size_t i = 0; i < n; ++i) {
-    if (batch[i].enumeration.boundFirst) {
-      units.push_back({i, 0, 0});
-      continue;
-    }
-    const std::size_t total = plans[i].list->specs->size();
+    const std::size_t total = plans[i].entry->space->size();
     for (std::size_t b = 0; b < total; b += impl_->options.workUnitSpecs)
       units.push_back({i, b, std::min(total, b + impl_->options.workUnitSpecs)});
   }
@@ -593,29 +497,23 @@ std::vector<QueryResult> ExplorationService::runBatch(
     }
     Impl::UnitRun run(batch[unit.query], *plan.backend, plan.keyPrefix,
                       outs[u]);
-    if (batch[unit.query].enumeration.boundFirst) {
-      impl_->runBoundFirst(run, deadline);
-    } else {
-      const Impl::SpecListEntry& list = *plan.list;
-      for (std::size_t b = unit.begin; b < unit.end; b += kBlockSpecs) {
-        // On expiry the WHOLE untouched remainder counts as skipped, so
-        // hits + misses + pruned + skipped == designs holds exactly for
-        // timed-out partial results too.
-        if (deadline.expired()) {
-          run.out.skipped += unit.end - b;
-          break;
-        }
-        // Re-snapshot per block, not once per unit: a stale snapshot lets
-        // late candidates of a large unit dodge cuts that completed units
-        // already justify.
-        if (prune) {
-          std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
-          run.snapshot = incumbents[unit.query].frontier;
-        }
-        impl_->runBlock(run, *list.block, b, std::min(unit.end, b + kBlockSpecs),
-                        0, list.specKeys, *plan.store,
-                        [&](std::size_t i) { return (*list.specs)[i]; });
+    for (std::size_t b = unit.begin; b < unit.end; b += kBlockSpecs) {
+      // On expiry the WHOLE untouched remainder counts as skipped, so
+      // hits + misses + pruned + skipped == designs holds exactly for
+      // timed-out partial results too.
+      if (deadline.expired()) {
+        run.out.skipped += unit.end - b;
+        break;
       }
+      // Re-snapshot per block, not once per unit: a stale snapshot lets
+      // late candidates of a large unit dodge cuts that completed units
+      // already justify.
+      if (prune) {
+        std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
+        run.snapshot = incumbents[unit.query].frontier;
+      }
+      impl_->runBlock(run, *plan.entry, b, std::min(unit.end, b + kBlockSpecs),
+                      *plan.store);
     }
     if (prune) {
       std::lock_guard<std::mutex> lock(incumbents[unit.query].mutex);
@@ -632,8 +530,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
     ParetoFrontier frontier;
     std::unordered_map<std::size_t, DesignReport> kept;
     std::vector<std::size_t> pruned;
-    std::uint64_t boundFirstDesigns = 0;
-    if (plans[i].store) searches += plans[i].store->searches();
+    searches += plans[i].store->searches();
     for (std::size_t u = 0; u < units.size(); ++u) {
       if (units[u].query != i) continue;
       UnitOut& out = outs[u];
@@ -641,9 +538,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
       results[i].cache.misses += out.misses;
       results[i].cache.pruned += out.pruned;
       results[i].cache.skipped += out.skipped;
-      boundFirstDesigns += out.designs;
       evaluations += out.evaluations;
-      searches += out.searches;
       for (const ParetoEntry& e : out.frontier.entries()) {
         pruned.clear();
         if (frontier.insert(e, &pruned))
@@ -652,9 +547,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
       }
     }
     const std::vector<ParetoEntry> ordered = frontier.sorted();
-    results[i].designs = batch[i].enumeration.boundFirst
-                             ? static_cast<std::size_t>(boundFirstDesigns)
-                             : plans[i].list->specs->size();
+    results[i].designs = plans[i].entry->space->size();
     results[i].timedOut =
         deadlines[i].timedOut.load(std::memory_order_relaxed);
     const QueryCacheCounts& c = results[i].cache;

@@ -12,18 +12,19 @@
 //     by canonical (algebra, array, cost-backend, spec). Overlapping
 //     queries — same GEMM at different objectives, array sweeps that share
 //     the algebra, duplicate user queries — pay for each design point once.
-//     Enumerated spec lists are cached the same way. Hit/miss/eviction
-//     stats are surfaced per query and service-wide.
-//   * One evaluation path: run()/runBatch() walk every query in blocks of
-//     64 packed candidates (stt::SpecBlockSet) — a list query blocks its
-//     enumerated list, a bound-first query packs its search survivors into
-//     windows — and every block takes the same three passes: cache peek,
-//     packed lower bounds with dominance cuts, packed evaluation of the
-//     survivors (one tile search per mapping class, held by the query's
-//     stt::BlockMappingStore — the service's only tile-search memo). Both
-//     modes key a candidate's evaluation identically, so a bound-first
-//     query hits every entry a list query cached for the same spec.
-//     Session::compileBest and every tool explore through this path.
+//     Design spaces are cached the same way: each (algebra, enumeration)
+//     is packed once by stt::packDesignSpace as the uncut evaluation-class
+//     quotient, which every array, backend and objective shares (a cut
+//     taken against one query's incumbent would be unsound for another).
+//     Hit/miss/eviction stats are surfaced per query and service-wide.
+//   * One evaluation path: run()/runBatch() walk every query's space in
+//     blocks of 64 packed slots (stt::SpecBlockSet), and every block takes
+//     the same three passes: cache peek, packed lower bounds with dominance
+//     cuts, packed evaluation of the survivors (one tile search per mapping
+//     class, held by the query's stt::BlockMappingStore — the service's
+//     only tile-search memo). Only frontier keepers are analyzed into a
+//     DataflowSpec. Session::compileBest and every tool explore through
+//     this path.
 //   * Incremental Pareto streaming: run()/runBatch() fold every evaluated
 //     point into a (cycles, power, area) ParetoFrontier on the fly and keep
 //     reports only for frontier residents, instead of materializing the
@@ -88,8 +89,6 @@ struct QueryCacheCounts {
   /// Candidates skipped by the lower-bound dominance cut: an incumbent
   /// frontier point strictly dominated the candidate's provable lower
   /// bound, so its full evaluation was provably irrelevant to the frontier.
-  /// Bound-first queries also count candidates cut at the partial-transform
-  /// stage (before any DataflowSpec existed) here.
   std::uint64_t pruned = 0;
   /// Candidates never reached because the query's deadline expired first.
   /// Every enumerated design lands in exactly one bucket:
@@ -105,10 +104,9 @@ struct QueryResult {
   std::vector<DesignReport> frontier;
   /// The query-objective winner (canonical tie-breaks; see pickBest).
   std::optional<DesignReport> best;
-  /// Design points handled: the enumerated space's size, or — for
-  /// bound-first queries — candidates visited by the search (cut at the
-  /// partial stage + emitted representatives; class-quotiented duplicates
-  /// are not designs). Partial when timedOut.
+  /// The design space's size: its evaluation-class representatives
+  /// (quotiented duplicates are not designs), or every candidate with
+  /// EnumerationOptions::dedupeBySignature off.
   std::size_t designs = 0;
   QueryCacheCounts cache;
   /// True iff the query's deadline expired before every design point was

@@ -205,8 +205,7 @@ std::int64_t checkRange(const char* field, std::int64_t value, Range range) {
 }
 
 int checkMaxEntry(std::int64_t value) {
-  return static_cast<int>(
-      checkRange("max_entry", value, {1, std::numeric_limits<int>::max()}));
+  return static_cast<int>(checkRange("max_entry", value, kMaxEntryRange));
 }
 
 std::int64_t parseIntFlag(const char* flag, const std::string& text,

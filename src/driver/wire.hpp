@@ -72,6 +72,13 @@ inline constexpr Range kDataBytesRange{1, INT64_MAX};
 /// data_width: the RTL codecs shift by width - 1.
 inline constexpr Range kDataWidthRange{1, 64};
 inline constexpr Range kVectorLanesRange{1, kMaxVectorLanes};
+/// max_entry: STT entries range over [-max_entry, max_entry].
+inline constexpr Range kMaxEntryRange{1, std::numeric_limits<int>::max()};
+/// Milliseconds and seeds, where 0 is a value ("off" for a budget, an
+/// interval or a deadline) and a negative one has no meaning.
+inline constexpr Range kNonNegativeRange{0, INT64_MAX};
+/// TCP ports; 0 asks for an ephemeral one.
+inline constexpr Range kPortRange{0, 65535};
 
 /// The range check behind every integer request field and flag: returns
 /// `value`, or throws tensorlib::Error naming `field` unless it lies in

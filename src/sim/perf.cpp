@@ -220,52 +220,4 @@ std::int64_t cyclesLowerBound(const stt::SpecBlockSet& set, std::size_t i,
   return std::max<std::int64_t>(bound, 1);
 }
 
-std::int64_t cyclesLowerBound(const stt::PartialTransform& partial,
-                              const stt::ArrayConfig& config) {
-  // The packed bound above never reads the time row: its caps use only
-  // |t(0,j)| and |t(1,j)|, and the traffic term is transform-independent.
-  // Evaluating it on a partial matrix (both space rows placed, time row
-  // free) therefore yields the EXACT packed bound of every completion —
-  // which is what makes it a sound branch-and-bound cut predicate.
-  const stt::SelectionGeometry& g = *partial.geometry;
-  const std::int64_t macs = g.macs;
-  double rate = static_cast<double>(config.rows * config.cols);
-  if (rate <= 0.0) rate = 1.0;
-
-  const double wordsPerCycle = config.wordsPerCycle();
-  if (wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle)) {
-    std::int64_t caps[3];
-    for (std::size_t j = 0; j < 3; ++j) {
-      std::int64_t cap = g.extents[j];
-      if (partial.absRow0[j] != 0)
-        cap = std::min(cap, 1 + (config.rows - 1) / partial.absRow0[j]);
-      if (partial.absRow1[j] != 0)
-        cap = std::min(cap, 1 + (config.cols - 1) / partial.absRow1[j]);
-      caps[j] = std::max<std::int64_t>(cap, 1);
-    }
-    const double capProduct = static_cast<double>(
-        linalg::checkedMul(caps[0], linalg::checkedMul(caps[1], caps[2])));
-    double intensityCap = std::numeric_limits<double>::infinity();
-    for (std::size_t k = 0; k < g.tensorCount; ++k) {
-      const double matched = static_cast<double>(coveredExtentsPacked(
-          g.tensorAbsC(k), g.tensorRank[k], caps, 0, 0u));
-      intensityCap = std::min(intensityCap, capProduct / matched);
-    }
-    rate = std::min(rate, wordsPerCycle * intensityCap);
-  }
-  std::int64_t bound =
-      static_cast<std::int64_t>(std::floor(static_cast<double>(macs) / rate));
-
-  if (wordsPerCycle > 0.0 && std::isfinite(wordsPerCycle)) {
-    std::int64_t minTraffic = 0;
-    for (std::size_t k = 0; k < g.tensorCount; ++k)
-      minTraffic += linalg::checkedMul(
-          g.outer, coveredExtentsPacked(g.tensorAbsC(k), g.tensorRank[k],
-                                        g.extents.data(), 0, 0u));
-    bound = std::max(bound, static_cast<std::int64_t>(std::floor(
-                                static_cast<double>(minTraffic) / wordsPerCycle)));
-  }
-  return std::max<std::int64_t>(bound, 1);
-}
-
 }  // namespace tensorlib::sim

@@ -69,13 +69,4 @@ std::int64_t cyclesLowerBound(const stt::DataflowSpec& spec,
 std::int64_t cyclesLowerBound(const stt::SpecBlockSet& set, std::size_t i,
                               const stt::ArrayConfig& config);
 
-/// cyclesLowerBound on a partial transform (both space rows placed, time
-/// row free). The packed bound's caps read only |t(0,j)|/|t(1,j)| and its
-/// traffic term is transform-independent, so this equals the packed bound
-/// of EVERY time-row completion exactly — the admissible cut predicate of
-/// the bound-first branch-and-bound enumeration (pinned by the partial-
-/// bound fuzz tests).
-std::int64_t cyclesLowerBound(const stt::PartialTransform& partial,
-                              const stt::ArrayConfig& config);
-
 }  // namespace tensorlib::sim

@@ -2,175 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "support/error.hpp"
 
 namespace tensorlib::stt {
-
-namespace {
-
-/// Appends the raw bytes of `n` int64s to `key` (mapping-class hashing).
-void appendWords(std::string& key, const std::int64_t* words, std::size_t n) {
-  key.append(reinterpret_cast<const char*>(words), n * sizeof(std::int64_t));
-}
-
-/// Sizes a set's per-spec arrays for `n` specs, so packing a whole list
-/// allocates each array once and keeps no growth slack.
-void reserveSpecBlocks(SpecBlockSet& set, std::size_t n) {
-  const std::size_t T = set.tensorsPerSpec;
-  set.extents.reserve(n * 3);
-  set.outer.reserve(n);
-  set.absT.reserve(n * 9);
-  set.labels.reserve(n);
-  set.classTag.reserve(n * T);
-  set.absDir.reserve(n * T * 2);
-  set.systolicDt.reserve(n * T);
-  set.absC.reserve(n * T * set.rankStride * 3);
-}
-
-}  // namespace
-
-std::shared_ptr<const SpecBlockSet> packSpecBlocks(
-    const std::vector<DataflowSpec>& list) {
-  // The same three steps that pack a bound-first window: per-selection
-  // constants from the selection geometry, one append per spec carrying
-  // its class data, then the mapping-class partition.
-  auto set = std::make_shared<SpecBlockSet>();
-  const SpecContext* context = nullptr;
-  SelectionGeometry geometry;
-  std::uint8_t classTag[kBlockMaxTensors];
-  std::int64_t absDir[kBlockMaxTensors * 2];
-  std::int64_t systolicDt[kBlockMaxTensors];
-  for (const DataflowSpec& spec : list) {
-    if (spec.context().get() != context) {  // one selection after another
-      context = spec.context().get();
-      geometry = makeSelectionGeometry(*context);
-      if (set->count == 0) {
-        resetSpecBlocks(*set, geometry);
-        reserveSpecBlocks(*set, list.size());
-      }
-      TL_CHECK(geometry.tensorRank == set->tensorRank &&
-                   geometry.tensorIsOutput == set->tensorIsOutput,
-               "block packing: tensor layout varies within one list");
-    }
-    const std::size_t T = geometry.tensorCount;
-    TL_CHECK(spec.tensors().size() == T,
-             "block packing: tensor count varies within one list");
-    for (std::size_t k = 0; k < T; ++k) {
-      const TensorDataflow& df = spec.tensors()[k].dataflow;
-      classTag[k] = static_cast<std::uint8_t>(df.dataflowClass);
-      const bool ranked = df.direction.size() >= 2;
-      absDir[k * 2 + 0] = ranked ? std::abs(df.direction[0]) : 0;
-      absDir[k * 2 + 1] = ranked ? std::abs(df.direction[1]) : 0;
-      systolicDt[k] = df.dataflowClass == DataflowClass::Systolic
-                          ? std::abs(df.latticeBasis.at(2, 0))
-                          : 0;
-    }
-    appendSpecBlock(*set, geometry, spec.transform().matrix(), classTag,
-                    absDir, systolicDt, spec.label());
-  }
-  assignSpecBlockClasses(*set);
-  return set;
-}
-
-SelectionGeometry makeSelectionGeometry(const SpecContext& context) {
-  SelectionGeometry g;
-  const linalg::IntVector& e = context.selection.extents();
-  for (std::size_t j = 0; j < 3; ++j) g.extents[j] = e[j];
-  g.outer = 1;
-  for (std::size_t idx : context.selection.outerIndices())
-    g.outer = linalg::checkedMul(g.outer, context.algebra.loops()[idx].extent);
-  g.macs = context.algebra.totalMacs();
-  g.inputCount = context.algebra.inputs().size();
-  g.tensorCount = context.restrictedAccesses.size();
-  TL_CHECK(g.tensorCount >= 1 && g.tensorCount <= kBlockMaxTensors,
-           "selection geometry: tensor count out of range");
-  g.tensorRank.resize(g.tensorCount);
-  g.tensorIsOutput.resize(g.tensorCount);
-  g.rankStride = 0;
-  for (std::size_t k = 0; k < g.tensorCount; ++k) {
-    const std::size_t rank = context.restrictedAccesses[k].coeff().rows();
-    TL_CHECK(rank <= kBlockMaxRank,
-             "selection geometry: tensor rank out of range");
-    g.tensorRank[k] = rank;
-    g.tensorIsOutput[k] = k + 1 == g.tensorCount ? 1 : 0;
-    g.rankStride = std::max(g.rankStride, rank);
-  }
-  if (g.rankStride == 0) g.rankStride = 1;
-  g.absC.assign(g.tensorCount * g.rankStride * 3, 0);
-  for (std::size_t k = 0; k < g.tensorCount; ++k) {
-    const linalg::IntMatrix& c = context.restrictedAccesses[k].coeff();
-    std::int64_t* absC = g.absC.data() + k * g.rankStride * 3;
-    for (std::size_t d = 0; d < g.tensorRank[k]; ++d)
-      for (std::size_t j = 0; j < 3; ++j)
-        absC[d * 3 + j] = std::abs(c.at(d, j));
-  }
-  g.selectionLabel = context.selection.label();
-  return g;
-}
-
-void resetSpecBlocks(SpecBlockSet& set, const SelectionGeometry& geometry) {
-  set.count = 0;
-  set.tensorsPerSpec = geometry.tensorCount;
-  set.inputCount = geometry.inputCount;
-  set.algebraMacs = geometry.macs;
-  set.tensorIsOutput = geometry.tensorIsOutput;
-  set.tensorRank = geometry.tensorRank;
-  set.rankStride = geometry.rankStride;
-  set.extents.clear();
-  set.outer.clear();
-  set.absT.clear();
-  set.labels.clear();
-  set.classTag.clear();
-  set.absDir.clear();
-  set.systolicDt.clear();
-  set.absC.clear();
-  set.mapClass.clear();
-  set.mapClassCount = 0;
-}
-
-std::size_t appendSpecBlock(SpecBlockSet& set, const SelectionGeometry& geometry,
-                            const linalg::IntMatrix& matrix,
-                            const std::uint8_t* classTag,
-                            const std::int64_t* absDir,
-                            const std::int64_t* systolicDt, std::string label) {
-  const std::size_t i = set.count++;
-  const std::size_t T = geometry.tensorCount;
-  set.extents.insert(set.extents.end(), geometry.extents.begin(),
-                     geometry.extents.end());
-  set.outer.push_back(geometry.outer);
-  for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t j = 0; j < 3; ++j)
-      set.absT.push_back(std::abs(matrix.at(r, j)));
-  set.labels.push_back(std::move(label));
-  set.classTag.insert(set.classTag.end(), classTag, classTag + T);
-  set.absDir.insert(set.absDir.end(), absDir, absDir + T * 2);
-  set.systolicDt.insert(set.systolicDt.end(), systolicDt, systolicDt + T);
-  set.absC.insert(set.absC.end(), geometry.absC.begin(), geometry.absC.end());
-  return i;
-}
-
-void assignSpecBlockClasses(SpecBlockSet& set) {
-  const std::size_t n = set.count;
-  const std::size_t T = set.tensorsPerSpec;
-  set.mapClass.resize(n);
-  std::unordered_map<std::string, std::uint32_t> classes;
-  std::string key;
-  key.reserve((3 + 1 + 9 + T * set.rankStride * 3) * sizeof(std::int64_t));
-  for (std::size_t i = 0; i < n; ++i) {
-    key.clear();
-    appendWords(key, set.specExtents(i), 3);
-    appendWords(key, &set.outer[i], 1);
-    appendWords(key, set.specAbsT(i), 9);
-    appendWords(key, set.tensorAbsC(i, 0), T * set.rankStride * 3);
-    const auto [it, inserted] =
-        classes.emplace(key, static_cast<std::uint32_t>(classes.size()));
-    (void)inserted;
-    set.mapClass[i] = it->second;
-  }
-  set.mapClassCount = classes.size();
-}
 
 TileMapping computeMappingPacked(const SpecBlockSet& set, std::size_t i,
                                  const ArrayConfig& config) {

@@ -6,9 +6,10 @@
 // shared_ptr indirections. A SpecBlockSet packs the read sets of those
 // models — |transform| entries, selected extents, outer-iteration product,
 // per-tensor |access| coefficients, dataflow class tags — into contiguous
-// arrays built once per enumerated list, so block-shaped bound/perf/cost
-// entry points (sim::cyclesLowerBound over a set, cost::CostBackend's
-// block overloads) run as tight loops with no per-candidate allocation.
+// arrays built once per design space (stt::packDesignSpace fills it), so
+// block-shaped bound/perf/cost entry points (sim::cyclesLowerBound over a
+// set, cost::CostBackend's block overloads) run as tight loops with no
+// per-candidate allocation.
 //
 // The packed arrays store *absolute values*: every consumer (tile-mapping
 // search, cycle lower bound, structural inventory) is provably
@@ -18,7 +19,6 @@
 // scalar counterparts by tests/block_eval_test.cpp.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -30,12 +30,12 @@
 namespace tensorlib::stt {
 
 /// Contiguous struct-of-arrays view of one enumerated design space. All
-/// specs of one list share an algebra, so per-list facts (tensor count,
+/// specs of one space share an algebra, so per-space facts (tensor count,
 /// per-tensor rank, total MACs) are stored once. Tensors keep label order:
 /// inputs in formula order, the output last.
 struct SpecBlockSet {
   std::size_t count = 0;           ///< specs in the set
-  std::size_t tensorsPerSpec = 0;  ///< uniform across the list
+  std::size_t tensorsPerSpec = 0;  ///< uniform across the space
   std::size_t inputCount = 0;      ///< algebra().inputs().size()
   std::int64_t algebraMacs = 0;    ///< algebra().totalMacs()
 
@@ -50,7 +50,7 @@ struct SpecBlockSet {
   std::vector<std::int64_t> absDir;      ///< 2/tensor: |dp1|,|dp2| (rank-1)
   std::vector<std::int64_t> systolicDt;  ///< |lattice dt| (Systolic only)
 
-  // Per tensor, uniform across the list.
+  // Per tensor, uniform across the space.
   std::vector<std::uint8_t> tensorIsOutput;  ///< role.isOutput flags
   std::vector<std::size_t> tensorRank;       ///< restricted-access rank
   std::size_t rankStride = 0;                ///< max rank: absC row block
@@ -83,73 +83,6 @@ struct SpecBlockSet {
 /// workload has 4 tensors of rank <= 3); packing fails loudly if exceeded.
 inline constexpr std::size_t kBlockMaxTensors = 8;
 inline constexpr std::size_t kBlockMaxRank = 8;
-
-/// Packs an enumerated list into a SpecBlockSet (built once per list and
-/// shared by every query over it). Slot i packs specs[i]. Built from the
-/// same primitives as a bound-first window — makeSelectionGeometry,
-/// appendSpecBlock, assignSpecBlockClasses — so a list and the uncut
-/// bound-first sweep of the same space pack identically.
-std::shared_ptr<const SpecBlockSet> packSpecBlocks(
-    const std::vector<DataflowSpec>& specs);
-
-/// Everything the packed models read that is fixed by the (algebra,
-/// selection) pair alone — i.e. the transform-independent slice of a
-/// SpecBlockSet. Built once per selection, it lets the bound-first search
-/// price partial matrices and pack survivors without ever materializing a
-/// DataflowSpec.
-struct SelectionGeometry {
-  std::array<std::int64_t, 3> extents{};  ///< selected loop extents
-  std::int64_t outer = 1;                 ///< outer-iteration product
-  std::int64_t macs = 0;                  ///< algebra().totalMacs()
-  std::size_t inputCount = 0;
-  std::size_t tensorCount = 0;
-  std::size_t rankStride = 1;             ///< max rank: absC row block
-  std::vector<std::size_t> tensorRank;      ///< per tensor, label order
-  std::vector<std::uint8_t> tensorIsOutput;
-  /// |restricted access| coefficients: per tensor a rankStride x 3 row-major
-  /// block, rows beyond the tensor's rank zero-padded (SpecBlockSet layout).
-  std::vector<std::int64_t> absC;
-  std::string selectionLabel;  ///< selection().label(), e.g. "MNK"
-
-  const std::int64_t* tensorAbsC(std::size_t k) const {
-    return absC.data() + k * rankStride * 3;
-  }
-};
-
-SelectionGeometry makeSelectionGeometry(const SpecContext& context);
-
-/// A partially placed transform: both space rows fixed (as absolute
-/// values), the time row still free. Every packed model term that prices
-/// cycles reads only |space rows| and the selection geometry, so a bound
-/// computed from a PartialTransform is a provable lower bound over EVERY
-/// time-row completion — the branch-and-bound cut predicate.
-struct PartialTransform {
-  const SelectionGeometry* geometry = nullptr;
-  std::array<std::int64_t, 3> absRow0{};  ///< |row p1|
-  std::array<std::int64_t, 3> absRow1{};  ///< |row p2|
-};
-
-/// Initializes `set` as an empty bound-first window over one selection:
-/// per-list constants come from the geometry (no DataflowSpec exists yet —
-/// the driver materializes specs lazily, only for frontier keepers). Clears
-/// any previous window contents, so one set is reused across windows
-/// without reallocation.
-void resetSpecBlocks(SpecBlockSet& set, const SelectionGeometry& geometry);
-
-/// Appends one survivor of the bound-first search: |T| from its matrix,
-/// per-tensor class data from the fast classifier (`classTag` has
-/// tensorCount entries, `absDir` 2 per tensor, `systolicDt` 1 per tensor),
-/// selection constants replicated from the geometry. Returns its index.
-/// Call assignSpecBlockClasses once per window before evaluating.
-std::size_t appendSpecBlock(SpecBlockSet& set, const SelectionGeometry& geometry,
-                            const linalg::IntMatrix& matrix,
-                            const std::uint8_t* classTag,
-                            const std::int64_t* absDir,
-                            const std::int64_t* systolicDt, std::string label);
-
-/// (Re)builds the mapping-class partition of a set in place, keyed on the
-/// packed mapping read set (extents, outer, |T|, |C|).
-void assignSpecBlockClasses(SpecBlockSet& set);
 
 /// computeMapping on packed data: bit-identical to computeMapping on the
 /// spec packed in slot i — pinned by tests — but allocation-free until the

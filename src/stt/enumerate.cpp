@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <map>
@@ -11,7 +12,10 @@
 #include <numeric>
 #include <optional>
 #include <set>
+#include <string>
+#include <string_view>
 #include <tuple>
+#include <unordered_map>
 
 #include "linalg/solve.hpp"
 #include "support/error.hpp"
@@ -203,56 +207,8 @@ CandidateList candidateMatrices(const EnumerationOptions& options) {
   return it->second;
 }
 
-/// Flat open-addressing set of 64-bit signature hashes: the dedupe hot path
-/// makes no string, no node allocation, and no tree comparison. Power-of-2
-/// capacity, linear probing, 0 reserved as the empty sentinel (a real hash
-/// of 0 is remapped to a fixed nonzero constant).
-class HashSet64 {
- public:
-  /// True if newly inserted, false if already present.
-  bool insert(std::uint64_t h) {
-    if (h == 0) h = 0x9e3779b97f4a7c15ull;
-    if ((size_ + 1) * 4 >= slots_.size() * 3) grow();
-    std::size_t i = index(h);
-    while (slots_[i] != 0) {
-      if (slots_[i] == h) return false;
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    slots_[i] = h;
-    ++size_;
-    return true;
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  std::size_t index(std::uint64_t h) const {
-    // Multiplicative spread: inserted values are already well mixed, but a
-    // cheap re-scramble keeps clustered inputs from probing long runs.
-    return static_cast<std::size_t>((h * 0x9e3779b97f4a7c15ull) >>
-                                    (64 - shift_)) &
-           (slots_.size() - 1);
-  }
-
-  void grow() {
-    std::vector<std::uint64_t> old = std::move(slots_);
-    shift_ += 1;
-    slots_.assign(std::size_t{1} << shift_, 0);
-    for (std::uint64_t h : old) {
-      if (h == 0) continue;
-      std::size_t i = index(h);
-      while (slots_[i] != 0) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = h;
-    }
-  }
-
-  std::size_t shift_ = 6;
-  std::vector<std::uint64_t> slots_ = std::vector<std::uint64_t>(64, 0);
-  std::size_t size_ = 0;
-};
-
 /// T-independent slice of analyzeReuse: a tensor's reuse nullspace basis
-/// depends only on the restricted access, so one bound-first sweep computes
+/// depends only on the restricted access, so one selection's sweep computes
 /// it once per tensor instead of once per (tensor, candidate).
 struct TensorReuseBasis {
   std::size_t rank = 0;
@@ -364,48 +320,255 @@ std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Core of enumerateTransforms over a prebuilt shared context.
-std::vector<DataflowSpec> enumerateTransformsOn(const SpecContextPtr& context,
-                                                const EnumerationOptions& options) {
-  if (options.boundFirst) {
-    // Uncut bound-first sweep materialized as a scalar list: the class
-    // quotient (or, with dedupeBySignature off, the raw filtered stream)
-    // analyzed into real specs. Keeps every scalar consumer coherent with
-    // what the bound-first service path evaluates.
-    const SelectionGeometry geometry = makeSelectionGeometry(*context);
-    std::vector<DataflowSpec> out;
-    BoundFirstHooks hooks;
-    hooks.emit = [&](const BoundFirstCandidate& c) {
-      out.push_back(analyzeDataflow(context, SpaceTimeTransform(*c.matrix)));
-    };
-    enumerateBoundFirst(context, geometry, options, hooks);
-    return out;
+/// Open-addressing table of one selection's packed slots keyed by
+/// evaluation class. The 64-bit hash only locates candidates: a slot
+/// matches when `same(slot)` confirms equal packed class data, so a hash
+/// collision can never merge two classes.
+class ClassTable {
+ public:
+  /// True iff an inserted slot satisfies `same`; otherwise records `slot`
+  /// under `hash` and returns false.
+  template <typename Same>
+  bool seen(std::uint64_t hash, std::uint32_t slot, const Same& same) {
+    if ((size_ + 1) * 4 >= table_.size() * 3) grow();
+    std::size_t i = index(hash);
+    for (; table_[i].slot != kEmpty; i = (i + 1) & (table_.size() - 1))
+      if (table_[i].hash == hash && same(table_[i].slot)) return true;
+    table_[i] = {hash, slot};
+    ++size_;
+    return false;
   }
-  if (!selectionPassesFilters(*context, reuseBases(*context), options))
-    return {};
-  const CandidateList candidates = candidateMatrices(options);
-  const std::size_t n = candidates->size();
 
-  // Analyze a bounded window of candidates into per-index slots
-  // (parallel-safe), then dedupe serially in candidate order — output is
-  // byte-identical to a serial run, and peak memory stays at one window of
-  // analyzed specs even for huge candidate lists.
+ private:
+  static constexpr std::uint32_t kEmpty = UINT32_MAX;
+  struct Entry {
+    std::uint64_t hash = 0;
+    std::uint32_t slot = kEmpty;
+  };
+
+  std::size_t index(std::uint64_t h) const {
+    // Multiplicative spread: a cheap re-scramble keeps clustered hashes
+    // from probing long runs.
+    return static_cast<std::size_t>((h * 0x9e3779b97f4a7c15ull) >>
+                                    (64 - shift_)) &
+           (table_.size() - 1);
+  }
+
+  void grow() {
+    std::vector<Entry> old = std::move(table_);
+    shift_ += 1;
+    table_.assign(std::size_t{1} << shift_, Entry{});
+    for (const Entry& e : old) {
+      if (e.slot == kEmpty) continue;
+      std::size_t i = index(e.hash);
+      while (table_[i].slot != kEmpty) i = (i + 1) & (table_.size() - 1);
+      table_[i] = e;
+    }
+  }
+
+  std::size_t shift_ = 6;
+  std::vector<Entry> table_ = std::vector<Entry>(64);
+  std::size_t size_ = 0;
+};
+
+/// Sets a set's per-space constants from one selection's context (whose
+/// tensor count reuseBases() already range-checked); every selection of an
+/// algebra agrees on them.
+void initBlocks(SpecBlockSet& set, const SpecContext& context) {
+  const std::size_t T = context.restrictedAccesses.size();
+  set.tensorsPerSpec = T;
+  set.inputCount = context.algebra.inputs().size();
+  set.algebraMacs = context.algebra.totalMacs();
+  set.tensorRank.resize(T);
+  set.tensorIsOutput.resize(T);
+  set.rankStride = 0;
+  for (std::size_t k = 0; k < T; ++k) {
+    const std::size_t rank = context.restrictedAccesses[k].coeff().rows();
+    TL_CHECK(rank <= kBlockMaxRank, "block packing: tensor rank out of range");
+    set.tensorRank[k] = rank;
+    set.tensorIsOutput[k] = k + 1 == T ? 1 : 0;
+    set.rankStride = std::max(set.rankStride, rank);
+  }
+  if (set.rankStride == 0) set.rankStride = 1;
+}
+
+/// The transform-independent slice of a packed slot, fixed by the
+/// (algebra, selection) pair: built once per selection and replicated
+/// into each of its slots.
+struct SelectionSlice {
+  std::array<std::int64_t, 3> extents{};
+  std::int64_t outer = 1;
+  /// |restricted access| coefficients: per tensor a rankStride x 3
+  /// row-major block, rows beyond the tensor's rank zero-padded.
+  std::vector<std::int64_t> absC;
+  std::string labelPrefix;  ///< selection().label() + "-"
+};
+
+SelectionSlice sliceOf(const SpecBlockSet& set, const SpecContext& context) {
+  const std::size_t T = context.restrictedAccesses.size();
+  TL_CHECK(T == set.tensorsPerSpec,
+           "block packing: tensor count varies within one space");
+  SelectionSlice slice;
+  const linalg::IntVector& e = context.selection.extents();
+  for (std::size_t j = 0; j < 3; ++j) slice.extents[j] = e[j];
+  for (std::size_t idx : context.selection.outerIndices())
+    slice.outer =
+        linalg::checkedMul(slice.outer, context.algebra.loops()[idx].extent);
+  slice.absC.assign(T * set.rankStride * 3, 0);
+  for (std::size_t k = 0; k < T; ++k) {
+    const linalg::IntMatrix& c = context.restrictedAccesses[k].coeff();
+    TL_CHECK(c.rows() == set.tensorRank[k],
+             "block packing: tensor rank varies within one space");
+    std::int64_t* absC = slice.absC.data() + k * set.rankStride * 3;
+    for (std::size_t d = 0; d < c.rows(); ++d)
+      for (std::size_t j = 0; j < 3; ++j) absC[d * 3 + j] = std::abs(c.at(d, j));
+  }
+  slice.labelPrefix = context.selection.label() + "-";
+  return slice;
+}
+
+/// Per-candidate class data of one sweep step, in SpecBlockSet layout.
+struct SlotData {
+  std::int64_t absT[9];
+  std::uint8_t classTag[kBlockMaxTensors];
+  std::int64_t absDir[kBlockMaxTensors * 2];
+  std::int64_t systolicDt[kBlockMaxTensors];
+  char letters[kBlockMaxTensors + 1];
+};
+
+void appendSlot(SpecBlockSet& set, const SelectionSlice& slice,
+                const SlotData& d) {
+  const std::size_t T = set.tensorsPerSpec;
+  ++set.count;
+  set.extents.insert(set.extents.end(), slice.extents.begin(),
+                     slice.extents.end());
+  set.outer.push_back(slice.outer);
+  set.absT.insert(set.absT.end(), d.absT, d.absT + 9);
+  set.labels.push_back(slice.labelPrefix + d.letters);
+  set.classTag.insert(set.classTag.end(), d.classTag, d.classTag + T);
+  set.absDir.insert(set.absDir.end(), d.absDir, d.absDir + T * 2);
+  set.systolicDt.insert(set.systolicDt.end(), d.systolicDt,
+                        d.systolicDt + T);
+  set.absC.insert(set.absC.end(), slice.absC.begin(), slice.absC.end());
+}
+
+/// True iff packed slot `i` holds exactly `d`'s class data. Within one
+/// selection this is evaluation-class equality: extents, outer and |C| are
+/// selection constants.
+bool sameClass(const SpecBlockSet& set, std::size_t i, const SlotData& d) {
+  const std::size_t T = set.tensorsPerSpec;
+  const std::size_t t = set.tensorIndex(i, 0);
+  return std::equal(d.absT, d.absT + 9, set.specAbsT(i)) &&
+         std::equal(d.classTag, d.classTag + T, set.classTag.data() + t) &&
+         std::equal(d.absDir, d.absDir + T * 2, set.absDir.data() + t * 2) &&
+         std::equal(d.systolicDt, d.systolicDt + T, set.systolicDt.data() + t);
+}
+
+std::uint64_t classHash(const SlotData& d, std::size_t T) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::int64_t v : d.absT) h = mix64(h, static_cast<std::uint64_t>(v));
+  for (std::size_t k = 0; k < T; ++k) {
+    h = mix64(h, d.classTag[k]);
+    h = mix64(h, static_cast<std::uint64_t>(d.absDir[k * 2 + 0]));
+    h = mix64(h, static_cast<std::uint64_t>(d.absDir[k * 2 + 1]));
+    h = mix64(h, static_cast<std::uint64_t>(d.systolicDt[k]));
+  }
+  return h;
+}
+
+/// Appends one selection's slots to `space`: every candidate of the
+/// memoized stream, fast-classified, kept when the quotient is off or its
+/// evaluation class is new.
+void sweepSelection(DesignSpace& space, SpecContextPtr context,
+                    const EnumerationOptions& options) {
+  const ReuseBases bases = reuseBases(*context);
+  if (!selectionPassesFilters(*context, bases, options)) return;
+  SpecBlockSet& set = space.blocks;
+  if (set.tensorsPerSpec == 0) initBlocks(set, *context);
+  const SelectionSlice slice = sliceOf(set, *context);
+  const auto contextIndex = static_cast<std::uint32_t>(space.contexts.size());
+  space.contexts.push_back(std::move(context));
+
+  const std::size_t T = set.tensorsPerSpec;
+  const std::vector<linalg::IntMatrix>& candidates = *space.candidates;
+  SlotData d;
+  d.letters[T] = '\0';
+  ClassTable classes;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    const linalg::IntMatrix& m = candidates[c];
+    for (std::size_t r = 0; r < 3; ++r)
+      for (std::size_t j = 0; j < 3; ++j) d.absT[r * 3 + j] = std::abs(m.at(r, j));
+    for (std::size_t k = 0; k < T; ++k) {
+      classifyFast(m, bases[k], d.classTag[k], d.absDir + k * 2,
+                   d.systolicDt[k]);
+      d.letters[k] = dataflowLetter(static_cast<DataflowClass>(d.classTag[k]));
+    }
+    if (options.dedupeBySignature &&
+        classes.seen(classHash(d, T), static_cast<std::uint32_t>(set.count),
+                     [&](std::uint32_t slot) { return sameClass(set, slot, d); }))
+      continue;
+    appendSlot(set, slice, d);
+    space.candidateOf.push_back(static_cast<std::uint32_t>(c));
+    space.contextOf.push_back(contextIndex);
+  }
+}
+
+/// Appends the raw bytes of `n` int64s to `key` (mapping-class hashing).
+void appendWords(std::string& key, const std::int64_t* words, std::size_t n) {
+  key.append(reinterpret_cast<const char*>(words), n * sizeof(std::int64_t));
+}
+
+/// Builds the mapping-class partition of a packed set, keyed on the packed
+/// mapping read set (extents, outer, |T|, |C|).
+void assignMapClasses(SpecBlockSet& set) {
+  const std::size_t n = set.count;
+  const std::size_t T = set.tensorsPerSpec;
+  set.mapClass.resize(n);
+  std::unordered_map<std::string, std::uint32_t> classes;
+  std::string key;
+  key.reserve((3 + 1 + 9 + T * set.rankStride * 3) * sizeof(std::int64_t));
+  for (std::size_t i = 0; i < n; ++i) {
+    key.clear();
+    appendWords(key, set.specExtents(i), 3);
+    appendWords(key, &set.outer[i], 1);
+    appendWords(key, set.specAbsT(i), 9);
+    appendWords(key, set.tensorAbsC(i, 0), T * set.rankStride * 3);
+    set.mapClass[i] =
+        classes.emplace(key, static_cast<std::uint32_t>(classes.size()))
+            .first->second;
+  }
+  set.mapClassCount = classes.size();
+}
+
+DesignSpace packSelections(const tensor::TensorAlgebra& algebra,
+                           const std::vector<LoopSelection>& selections,
+                           const EnumerationOptions& options) {
+  DesignSpace space;
+  space.candidates = candidateMatrices(options);
+  TL_CHECK(space.candidates->size() < UINT32_MAX,
+           "enumeration: candidate list too long to index");
+  for (const LoopSelection& selection : selections)
+    sweepSelection(space, makeSpecContext(algebra, selection), options);
+  assignMapClasses(space.blocks);
+  return space;
+}
+
+/// Every slot of `space`, analyzed, in slot order. A bounded window of
+/// slots is analyzed in parallel into per-index slots and then moved out
+/// in order: output is identical at every worker count, and peak memory
+/// stays one window above the result.
+std::vector<DataflowSpec> analyzeSpace(const DesignSpace& space) {
   constexpr std::size_t kWindow = 2048;
+  const std::size_t n = space.size();
   std::vector<DataflowSpec> out;
-  HashSet64 signatures;
+  out.reserve(n);
   std::vector<std::optional<DataflowSpec>> analyzed(std::min(n, kWindow));
   for (std::size_t base = 0; base < n; base += kWindow) {
     const std::size_t count = std::min(kWindow, n - base);
-    const auto analyzeAt = [&](std::size_t i) {
-      analyzed[i].emplace(
-          analyzeDataflow(context, SpaceTimeTransform((*candidates)[base + i])));
-    };
-    parallelFor(count, analyzeAt);
+    parallelFor(count,
+                [&](std::size_t i) { analyzed[i].emplace(space.spec(base + i)); });
     for (std::size_t i = 0; i < count; ++i) {
-      DataflowSpec& spec = *analyzed[i];
-      if (options.dedupeBySignature && !signatures.insert(spec.signatureHash()))
-        continue;
-      out.push_back(std::move(spec));
+      out.push_back(std::move(*analyzed[i]));
       analyzed[i].reset();
     }
   }
@@ -481,21 +644,29 @@ std::vector<LoopSelection> allLoopSelections(const tensor::TensorAlgebra& algebr
   return out;
 }
 
+std::string_view DesignSpace::letters(std::size_t i) const {
+  const std::string_view label = blocks.labels[i];
+  return label.substr(label.find('-') + 1);
+}
+
+DataflowSpec DesignSpace::spec(std::size_t i) const {
+  return analyzeDataflow(context(i), SpaceTimeTransform(matrix(i)));
+}
+
+DesignSpace packDesignSpace(const tensor::TensorAlgebra& algebra,
+                            const EnumerationOptions& options) {
+  return packSelections(algebra, allLoopSelections(algebra), options);
+}
+
 std::vector<DataflowSpec> enumerateTransforms(const tensor::TensorAlgebra& algebra,
                                               const LoopSelection& selection,
                                               const EnumerationOptions& options) {
-  return enumerateTransformsOn(makeSpecContext(algebra, selection), options);
+  return analyzeSpace(packSelections(algebra, {selection}, options));
 }
 
 std::vector<DataflowSpec> enumerateDesignSpace(const tensor::TensorAlgebra& algebra,
                                                const EnumerationOptions& options) {
-  std::vector<DataflowSpec> out;
-  for (const auto& sel : allLoopSelections(algebra)) {
-    auto specs = enumerateTransformsOn(makeSpecContext(algebra, sel), options);
-    out.insert(out.end(), std::make_move_iterator(specs.begin()),
-               std::make_move_iterator(specs.end()));
-  }
-  return out;
+  return analyzeSpace(packDesignSpace(algebra, options));
 }
 
 std::optional<DataflowSpec> findDataflow(const tensor::TensorAlgebra& algebra,
@@ -544,83 +715,6 @@ std::vector<linalg::IntMatrix> symmetryOrbit(const linalg::IntMatrix& m) {
 std::shared_ptr<const std::vector<linalg::IntMatrix>> candidateTransformMatrices(
     const EnumerationOptions& options) {
   return candidateMatrices(options);
-}
-
-BoundFirstStats enumerateBoundFirst(const SpecContextPtr& context,
-                                    const SelectionGeometry& geometry,
-                                    const EnumerationOptions& options,
-                                    const BoundFirstHooks& hooks) {
-  BoundFirstStats stats;
-  const std::size_t T = context->restrictedAccesses.size();
-  const ReuseBases bases = reuseBases(*context);
-  if (!selectionPassesFilters(*context, bases, options)) return stats;
-
-  const CandidateList candidates = candidateMatrices(options);
-  PartialTransform partial;
-  partial.geometry = &geometry;
-  std::uint8_t classTag[kBlockMaxTensors];
-  std::int64_t absDir[kBlockMaxTensors * 2];
-  std::int64_t systolicDt[kBlockMaxTensors];
-  char letters[kBlockMaxTensors + 1];
-  letters[T] = '\0';
-  HashSet64 classes;
-
-  for (std::size_t i = 0; i < candidates->size(); ++i) {
-    if ((i & 255u) == 0 && hooks.shouldStop && hooks.shouldStop()) {
-      stats.stopped = true;
-      break;
-    }
-    const linalg::IntMatrix& m = (*candidates)[i];
-    ++stats.visited;
-
-    for (std::size_t j = 0; j < 3; ++j) {
-      partial.absRow0[j] = std::abs(m.at(0, j));
-      partial.absRow1[j] = std::abs(m.at(1, j));
-    }
-    if (hooks.cut && hooks.cut(partial)) {
-      ++stats.cut;
-      continue;
-    }
-
-    for (std::size_t k = 0; k < T; ++k) {
-      classifyFast(m, bases[k], classTag[k], absDir + k * 2, systolicDt[k]);
-      letters[k] = dataflowLetter(static_cast<DataflowClass>(classTag[k]));
-    }
-
-    if (options.dedupeBySignature) {
-      // Evaluation-class quotient: two candidates hashing equal here have
-      // identical packed read sets (|T|, class tags, |direction|, |dt| —
-      // extents/outer/|C| are selection constants), so every packed model
-      // evaluates them bit-identically and keeping one representative
-      // loses nothing the frontier could see.
-      std::uint64_t h = 0xcbf29ce484222325ull;
-      for (std::size_t r = 0; r < 3; ++r)
-        for (std::size_t j = 0; j < 3; ++j)
-          h = mix64(h, static_cast<std::uint64_t>(std::abs(m.at(r, j))));
-      for (std::size_t k = 0; k < T; ++k) {
-        h = mix64(h, classTag[k]);
-        h = mix64(h, static_cast<std::uint64_t>(absDir[k * 2 + 0]));
-        h = mix64(h, static_cast<std::uint64_t>(absDir[k * 2 + 1]));
-        h = mix64(h, static_cast<std::uint64_t>(systolicDt[k]));
-      }
-      if (!classes.insert(h)) {
-        ++stats.deduped;
-        continue;
-      }
-    }
-
-    if (hooks.emit) {
-      BoundFirstCandidate c;
-      c.matrix = &m;
-      c.classTag = classTag;
-      c.absDir = absDir;
-      c.systolicDt = systolicDt;
-      c.letters = letters;
-      hooks.emit(c);
-    }
-    ++stats.emitted;
-  }
-  return stats;
 }
 
 std::optional<DataflowSpec> findDataflowByLabel(const tensor::TensorAlgebra& algebra,

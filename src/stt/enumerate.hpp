@@ -6,23 +6,24 @@
 // orbit of the STT symmetry group (row sign flips = array mirror / time
 // reversal; spatial row swap = array transpose) is ever materialized — no
 // decode-everything pass, no dedupe set. The candidate list is memoized
-// process-wide and analysis fans out over the thread pool; the original
-// decode-all-filter-canonicalize engine survives only as a test oracle
-// (tests/legacy_enumeration.hpp). On top of the candidate stream sit two
-// consumers: the classic analyze-then-dedupe sweep (enumerateTransforms)
-// and the bound-first branch-and-bound search (enumerateBoundFirst), which
-// cuts candidates against admissible partial-transform cost bounds and
-// quotients by evaluation class before any DataflowSpec exists. Both apply
-// the dropFullReuse/dropAllUnicast filters once per loop selection, through
-// one reuse-rank check, before any candidate is analyzed. Also provides
-// label-directed search used to construct every named dataflow in the
-// paper (e.g. "MNK-MTM", "KCX-STS").
+// process-wide; the original decode-all-filter-canonicalize engine
+// survives only as a test oracle (tests/legacy_enumeration.hpp).
+//
+// One sweep turns that stream into a design space (packDesignSpace): per
+// loop selection, the dropFullReuse/dropAllUnicast filters are decided
+// once through one reuse-rank check, every candidate is fast-classified
+// without materializing a DataflowSpec, and — by default — one
+// representative per EVALUATION class is packed straight into a
+// SpecBlockSet. enumerateTransforms/enumerateDesignSpace analyze exactly
+// those representatives, so every scalar consumer sees the space the
+// exploration service prices. Also provides label-directed search used to
+// construct every named dataflow in the paper (e.g. "MNK-MTM", "KCX-STS").
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "stt/block.hpp"
@@ -55,8 +56,7 @@ std::size_t setCandidateCacheCapacity(std::size_t capacity);
 /// One memoized candidate-matrix list together with the option key that
 /// produced it — the unit of candidate-memo snapshot/restore (see
 /// driver/snapshot.*). The three key fields are exactly the
-/// EnumerationOptions knobs the candidate generator reads, so list and
-/// bound-first enumeration at one maxEntry share one entry.
+/// EnumerationOptions knobs the candidate generator reads.
 struct CandidateCacheEntry {
   int maxEntry = 1;
   bool requireUnimodular = true;
@@ -79,34 +79,69 @@ struct EnumerationOptions {
   int maxEntry = 1;               ///< entry range [-maxEntry, maxEntry]
   bool requireUnimodular = true;  ///< |det| == 1 (integral inverse)
   bool canonicalize = true;       ///< quotient mirror/transpose symmetries
-  bool dedupeBySignature = true;  ///< one spec per dataflow signature
+  /// Keep one representative per evaluation class: within a loop
+  /// selection, candidates with equal |T| and equal per-tensor (dataflow
+  /// class, |direction|, |dt|) — the whole read set of the packed models —
+  /// price bit-identically, so the quotient loses no frontier value. Off:
+  /// the exact candidate stream, the reference the exactness tests compare
+  /// the quotient against.
+  bool dedupeBySignature = true;
   /// Drop specs containing a FullReuse (rank-3) tensor: the tensor would be
   /// a single scalar for the whole pass, a degenerate design.
   bool dropFullReuse = true;
   /// Drop specs whose *output* is Unicast AND some input is Unicast too —
   /// such designs stream everything and reuse nothing.
   bool dropAllUnicast = true;
-  /// Bound-first branch-and-bound enumeration: candidates are classified
-  /// without materializing a DataflowSpec, cut against admissible
-  /// partial-transform cost bounds (when the caller supplies them), and —
-  /// when dedupeBySignature is on — quotiented by EVALUATION class
-  /// (|T| plus per-tensor class/|direction|/|dt|, the exact read set of
-  /// the packed models) instead of by dataflow signature. With
-  /// dedupeBySignature off the surviving list is identical to the classic
-  /// engine's. Spec-defining: the quotient keeps different representatives
-  /// than signature dedupe (same evaluated figures, pinned by tests).
-  bool boundFirst = false;
 };
 
 /// All 3-loop selections of the algebra in nest order (C(n,3) of them).
 std::vector<LoopSelection> allLoopSelections(const tensor::TensorAlgebra& algebra);
 
-/// Enumerate the transform design space for one selection.
+/// One (algebra, enumeration) design space, packed once: the SpecBlockSet
+/// every packed model prices, plus what turns slot i back into a
+/// DataflowSpec — its signed matrix (an index into the memoized candidate
+/// list, which the space keeps alive) and its selection's shared context.
+/// Slots run selection by selection in allLoopSelections order and
+/// simplest-first within a selection, so the slot index is the frontier's
+/// enumeration-order tie-break.
+struct DesignSpace {
+  SpecBlockSet blocks;
+  std::shared_ptr<const std::vector<linalg::IntMatrix>> candidates;
+  std::vector<std::uint32_t> candidateOf;  ///< per slot: into *candidates
+  std::vector<SpecContextPtr> contexts;    ///< per selection with slots
+  std::vector<std::uint32_t> contextOf;    ///< per slot: into contexts
+
+  std::size_t size() const { return blocks.count; }
+  const linalg::IntMatrix& matrix(std::size_t i) const {
+    return (*candidates)[candidateOf[i]];
+  }
+  const SpecContextPtr& context(std::size_t i) const {
+    return contexts[contextOf[i]];
+  }
+  /// Slot i's per-tensor letters, e.g. "SST" (its label after the dash).
+  std::string_view letters(std::size_t i) const;
+  /// analyzeDataflow on slot i: how a packed design becomes a DataflowSpec
+  /// (frontier keepers, scalar consumers). Its label equals blocks.labels[i].
+  DataflowSpec spec(std::size_t i) const;
+};
+
+/// The one design-space sweep: for each loop selection that passes the
+/// dropFullReuse/dropAllUnicast filters, every memoized canonical candidate
+/// is fast-classified straight from the selection's reuse nullspace bases
+/// (no DataflowSpec, no matrix inverse) and appended to the packed set —
+/// only if its evaluation class is new when options.dedupeBySignature.
+/// The set's mapping-class partition is built before it is returned.
+DesignSpace packDesignSpace(const tensor::TensorAlgebra& algebra,
+                            const EnumerationOptions& options = {});
+
+/// Enumerate the transform design space for one selection: the analyzed
+/// slots of that selection's sweep.
 std::vector<DataflowSpec> enumerateTransforms(const tensor::TensorAlgebra& algebra,
                                               const LoopSelection& selection,
                                               const EnumerationOptions& options = {});
 
-/// Enumerate over all selections of the algebra.
+/// Enumerate over all selections of the algebra: every slot of
+/// packDesignSpace(algebra, options), analyzed, in slot order.
 std::vector<DataflowSpec> enumerateDesignSpace(const tensor::TensorAlgebra& algebra,
                                                const EnumerationOptions& options = {});
 
@@ -142,63 +177,10 @@ linalg::IntMatrix canonicalTransform(const linalg::IntMatrix& m);
 std::vector<linalg::IntMatrix> symmetryOrbit(const linalg::IntMatrix& m);
 
 /// The memoized candidate-matrix list for `options` (canonical
-/// representatives, sorted simplest-first) — the exact stream both
-/// enumerateTransforms and enumerateBoundFirst iterate, exposed for the
-/// orbit-soundness tests and benches.
+/// representatives, sorted simplest-first) — the exact stream every
+/// design-space sweep iterates, exposed for the orbit-soundness tests and
+/// benches.
 std::shared_ptr<const std::vector<linalg::IntMatrix>> candidateTransformMatrices(
     const EnumerationOptions& options = {});
-
-// ---- bound-first branch-and-bound search --------------------------------
-
-/// One survivor of the bound-first search, handed to BoundFirstHooks::emit.
-/// Every pointer borrows search-internal storage valid ONLY during the
-/// callback — consumers must copy what they keep (appendSpecBlock does).
-struct BoundFirstCandidate {
-  const linalg::IntMatrix* matrix = nullptr;  ///< canonical representative
-  const std::uint8_t* classTag = nullptr;     ///< DataflowClass, 1/tensor
-  const std::int64_t* absDir = nullptr;       ///< 2/tensor: |dp1|,|dp2|
-  const std::int64_t* systolicDt = nullptr;   ///< 1/tensor: |dt| (Systolic)
-  const char* letters = nullptr;              ///< NUL-terminated, 1/tensor
-};
-
-/// Caller-supplied hooks of the bound-first search. All optional.
-struct BoundFirstHooks {
-  /// Cut predicate, called once per candidate with both space rows placed
-  /// (time row free). Return true to discard the candidate unseen. The
-  /// caller must only cut when an admissible bound proves every completion
-  /// dominated (see cost::CostBackend::lowerBoundPartial) — the search
-  /// itself never second-guesses the predicate.
-  std::function<bool(const PartialTransform&)> cut;
-  /// Receives each surviving representative in deterministic
-  /// (simplest-first) candidate order.
-  std::function<void(const BoundFirstCandidate&)> emit;
-  /// Polled every few hundred candidates; returning true stops the search
-  /// cleanly (BoundFirstStats::stopped reports it). Deadline hook.
-  std::function<bool()> shouldStop;
-};
-
-/// Accounting of one bound-first sweep: visited == cut + deduped + emitted
-/// (+ candidates never reached when stopped).
-struct BoundFirstStats {
-  std::size_t visited = 0;  ///< candidates considered
-  std::size_t cut = 0;      ///< discarded by the cut predicate
-  std::size_t deduped = 0;  ///< quotiented into an emitted class
-  std::size_t emitted = 0;  ///< survivors handed to emit
-  bool stopped = false;     ///< shouldStop ended the sweep early
-};
-
-/// Bound-first branch-and-bound sweep over one selection: iterates the
-/// memoized canonical candidate list, prices each candidate's partial
-/// transform through hooks.cut BEFORE any classification, fast-classifies
-/// survivors straight from precomputed nullspace bases (no DataflowSpec,
-/// no SpecContext copy, no matrix inverse), applies the
-/// dropFullReuse/dropAllUnicast filters (the selection-level check
-/// enumerateTransforms shares) and the evaluation-class quotient (when
-/// options.dedupeBySignature), and emits the remainder. `geometry` must be
-/// makeSelectionGeometry(*context).
-BoundFirstStats enumerateBoundFirst(const SpecContextPtr& context,
-                                    const SelectionGeometry& geometry,
-                                    const EnumerationOptions& options,
-                                    const BoundFirstHooks& hooks);
 
 }  // namespace tensorlib::stt

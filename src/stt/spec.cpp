@@ -6,26 +6,6 @@
 
 namespace tensorlib::stt {
 
-namespace {
-
-/// Accumulating 64-bit hasher: each value is avalanche-mixed (splitmix64
-/// finalizer) then folded FNV-style, so structurally different token
-/// sequences land far apart.
-struct Hash64 {
-  std::uint64_t state = 0xcbf29ce484222325ull;
-
-  void add(std::uint64_t v) {
-    v += 0x9e3779b97f4a7c15ull;
-    v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9ull;
-    v = (v ^ (v >> 27)) * 0x94d049bb133111ebull;
-    v ^= v >> 31;
-    state = (state ^ v) * 0x100000001b3ull;
-  }
-  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
-};
-
-}  // namespace
-
 SpecContext::SpecContext(tensor::TensorAlgebra a, LoopSelection s)
     : algebra(std::move(a)), selection(std::move(s)) {
   for (const tensor::TensorRef* ref : algebra.tensorsInLabelOrder())
@@ -82,29 +62,6 @@ std::string DataflowSpec::signature() const {
     }
   }
   return os.str();
-}
-
-std::uint64_t DataflowSpec::signatureHash() const {
-  // Hashes exactly the canonical content signature() renders: the selection
-  // plus, per tensor in label order, the dataflow class and (rank-1) the
-  // primitive direction / (rank-2+) the RREF-canonicalized reuse basis.
-  Hash64 h;
-  for (std::size_t idx : selection().indices()) h.add(idx);
-  for (const auto& t : tensors_) {
-    h.add(static_cast<std::uint64_t>(t.dataflow.dataflowClass));
-    h.add(t.dataflow.reuseRank);
-    if (t.dataflow.reuseRank == 1) {
-      for (std::int64_t v : t.dataflow.direction) h.add(v);
-    } else if (t.dataflow.reuseRank >= 2) {
-      const auto red = linalg::rref(
-          linalg::toRational(t.dataflow.reuseBasis.transposed()));
-      for (std::size_t i = 0; i < red.rank; ++i) {
-        linalg::RatVector row = red.matrix.row(i);
-        for (std::int64_t v : linalg::clearDenominators(row)) h.add(v);
-      }
-    }
-  }
-  return h.state;
 }
 
 std::string DataflowSpec::describe() const {

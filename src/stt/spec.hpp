@@ -72,17 +72,9 @@ class DataflowSpec {
   /// Just the per-tensor letters, e.g. "SST" (cached at construction).
   const std::string& letters() const { return letters_; }
 
-  /// Canonical signature for design-space deduplication: per tensor, the
-  /// dataflow class plus (rank-1) direction / (rank-2) canonicalized basis.
-  /// Kept for debug/describe output; the hot dedupe path hashes the same
-  /// canonical content via signatureHash() without building strings.
+  /// Canonical dataflow signature: the selection plus, per tensor, the
+  /// dataflow class and (rank-1) direction / (rank-2) canonicalized basis.
   std::string signature() const;
-
-  /// 64-bit hash of the canonical signature content (selection indices plus
-  /// per-tensor class and canonicalized reuse geometry). Two specs with
-  /// equal signatures hash equal; distinct signatures collide with
-  /// probability ~2^-64.
-  std::uint64_t signatureHash() const;
 
   std::string describe() const;
 

@@ -25,5 +25,10 @@ void require(bool condition, const std::string& message);
 }  // namespace tensorlib
 
 /// Internal invariant check. Unlike assert(), always enabled: a generator
-/// that silently emits wrong hardware is worse than one that stops.
-#define TL_CHECK(cond, msg) ::tensorlib::require((cond), (msg))
+/// that silently emits wrong hardware is worse than one that stops. The
+/// message expression is evaluated only when the check fails, so a passing
+/// check on a hot path (Matrix::at, every packed loop) builds no string.
+#define TL_CHECK(cond, msg)                \
+  do {                                     \
+    if (!(cond)) ::tensorlib::fail(msg);   \
+  } while (0)

@@ -12,16 +12,17 @@
 //     below.
 //   * Packed-model unit checks: computeMappingPacked equals computeMapping
 //     field for field, and CostBackend::lowerBoundBlock equals lowerBound
-//     exactly (EXPECT_EQ on doubles), on every enumerated spec checked. A
-//     packed list equals the windows of the uncut bound-first sweep over
-//     the same space, field for field.
+//     exactly (EXPECT_EQ on doubles), on every packed slot checked. Every
+//     slot's packed class data equals its analyzed DataflowSpec's, field
+//     for field.
 //   * Accounting: hits + misses + pruned + skipped == designs holds,
 //     including deadline-expired partial results where the whole untouched
 //     remainder counts as skipped; CacheStats::mappings counts one tile
 //     search per mapping class and every other packed evaluation as a hit.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <cstdlib>
 #include <vector>
 
 #include "cost/backend.hpp"
@@ -55,21 +56,13 @@ ExploreQuery workloadQuery(const wl::NamedWorkload& w,
   return q;
 }
 
-/// Enumerates up to `cap` specs of the algebra the way the service does.
-std::shared_ptr<const std::vector<stt::DataflowSpec>> enumerateSpecs(
-    const tensor::TensorAlgebra& algebra, std::size_t cap,
-    bool dropAllUnicast) {
+/// The design space the service prices for `algebra`.
+stt::DesignSpace packSpace(const tensor::TensorAlgebra& algebra,
+                           bool dropAllUnicast, int maxEntry = 1) {
   stt::EnumerationOptions enumeration;
+  enumeration.maxEntry = maxEntry;
   enumeration.dropAllUnicast = dropAllUnicast;
-  auto specs = std::make_shared<std::vector<stt::DataflowSpec>>();
-  for (const auto& sel : stt::allLoopSelections(algebra)) {
-    if (specs->size() >= cap) break;
-    for (auto& spec : stt::enumerateTransforms(algebra, sel, enumeration)) {
-      specs->push_back(std::move(spec));
-      if (specs->size() >= cap) break;
-    }
-  }
-  return specs;
+  return stt::packDesignSpace(algebra, enumeration);
 }
 
 // --- the differential satellite ---------------------------------------------
@@ -186,21 +179,20 @@ TEST_F(BlockDeadlineTest, GenerousDeadlineChangesNothing) {
 
 TEST(BlockPacked, MappingMatchesComputeMappingAcrossWorkloads) {
   for (const auto& w : wl::allWorkloads()) {
-    const auto specs = enumerateSpecs(w.algebra, 120, !w.allowAllUnicast);
-    ASSERT_FALSE(specs->empty()) << w.name;
-    const auto set = stt::packSpecBlocks(*specs);
-    ASSERT_EQ(set->count, specs->size());
+    const stt::DesignSpace space = packSpace(w.algebra, !w.allowAllUnicast);
+    ASSERT_GT(space.size(), 0u) << w.name;
+    const std::size_t checked = std::min<std::size_t>(space.size(), 120);
     for (const int dataBytes : {2, 4}) {
       stt::ArrayConfig config;
       config.rows = config.cols = 4;
       config.dataBytes = dataBytes;
-      for (std::size_t i = 0; i < set->count; ++i) {
+      for (std::size_t i = 0; i < checked; ++i) {
         SCOPED_TRACE(w.name + " spec=" + std::to_string(i) +
                      " dataBytes=" + std::to_string(dataBytes));
         const stt::TileMapping expected =
-            stt::computeMapping((*specs)[i], config);
+            stt::computeMapping(space.spec(i), config);
         const stt::TileMapping actual =
-            stt::computeMappingPacked(*set, i, config);
+            stt::computeMappingPacked(space.blocks, i, config);
         EXPECT_EQ(expected.fullTile, actual.fullTile);
         EXPECT_EQ(expected.spatialRowsUsed, actual.spatialRowsUsed);
         EXPECT_EQ(expected.spatialColsUsed, actual.spatialColsUsed);
@@ -226,20 +218,19 @@ TEST(BlockPacked, MappingMatchesComputeMappingAcrossWorkloads) {
 TEST(BlockPacked, LowerBoundBlockEqualsScalarLowerBound) {
   const auto backends = {cost::makeAsicBackend(16), cost::makeFpgaBackend()};
   for (const auto& w : wl::allWorkloads()) {
-    const auto specs = enumerateSpecs(w.algebra, 96, !w.allowAllUnicast);
-    const auto set = stt::packSpecBlocks(*specs);
+    const stt::DesignSpace space = packSpace(w.algebra, !w.allowAllUnicast);
     stt::ArrayConfig array;
     array.rows = array.cols = 4;
-    std::vector<std::size_t> indices(set->count);
-    for (std::size_t i = 0; i < set->count; ++i) indices[i] = i;
+    std::vector<std::size_t> indices(std::min<std::size_t>(space.size(), 96));
+    for (std::size_t i = 0; i < indices.size(); ++i) indices[i] = i;
     for (const auto& backend : backends) {
-      std::vector<cost::CostBound> packed(set->count);
-      backend->lowerBoundBlock(*set, indices.data(), indices.size(), array,
-                               packed.data());
-      for (std::size_t i = 0; i < set->count; ++i) {
+      std::vector<cost::CostBound> packed(indices.size());
+      backend->lowerBoundBlock(space.blocks, indices.data(), indices.size(),
+                               array, packed.data());
+      for (std::size_t i = 0; i < indices.size(); ++i) {
         SCOPED_TRACE(w.name + " spec=" + std::to_string(i) + " backend=" +
                      backend->name());
-        const cost::CostBound scalar = backend->lowerBound((*specs)[i], array);
+        const cost::CostBound scalar = backend->lowerBound(space.spec(i), array);
         EXPECT_EQ(scalar.cycles, packed[i].cycles);
         EXPECT_EQ(scalar.figures.powerMw, packed[i].figures.powerMw);
         EXPECT_EQ(scalar.figures.area, packed[i].figures.area);
@@ -249,92 +240,92 @@ TEST(BlockPacked, LowerBoundBlockEqualsScalarLowerBound) {
 }
 
 TEST(BlockPacked, MappingClassesShareMappingsSoundly) {
-  // Two specs in one mapping class must produce identical mappings — that
+  // Two slots in one mapping class must produce identical mappings — that
   // equivalence is what lets BlockMappingStore run one tile search per
-  // class. Spot-check by comparing every spec's packed mapping against its
-  // class representative's.
-  const auto specs = enumerateSpecs(wl::gemm(8, 8, 8), 200, true);
-  const auto set = stt::packSpecBlocks(*specs);
-  EXPECT_GT(set->mapClassCount, 0u);
-  EXPECT_LT(set->mapClassCount, set->count);  // dedup must actually bite
+  // class. Compare every slot's packed mapping against its class
+  // representative's. Depthwise at maxEntry 2 has classes that share
+  // (within one selection the quotient leaves one slot per |T| for gemm).
+  const stt::DesignSpace space =
+      packSpace(wl::findWorkload("depthwise")->algebra, true, 2);
+  const stt::SpecBlockSet& set = space.blocks;
+  EXPECT_GT(set.mapClassCount, 0u);
+  EXPECT_LT(set.mapClassCount, set.count);  // classes must actually share
   stt::ArrayConfig config;
   config.rows = config.cols = 4;
-  std::vector<std::int64_t> representativeCycles(set->mapClassCount, -1);
-  for (std::size_t i = 0; i < set->count; ++i) {
-    const auto mapping = stt::computeMappingPacked(*set, i, config);
+  std::vector<std::int64_t> representativeCycles(set.mapClassCount, -1);
+  for (std::size_t i = 0; i < set.count; ++i) {
+    const auto mapping = stt::computeMappingPacked(set, i, config);
     const std::int64_t cycles = mapping.serialComputeCycles();
-    auto& rep = representativeCycles[set->mapClass[i]];
+    auto& rep = representativeCycles[set.mapClass[i]];
     if (rep < 0)
       rep = cycles;
     else
-      EXPECT_EQ(rep, cycles) << "spec " << i;
+      EXPECT_EQ(rep, cycles) << "slot " << i;
   }
 }
 
-TEST(BlockPacked, ListPackingEqualsUncutBoundFirstWindows) {
-  // packSpecBlocks and the bound-first windows are built from the same
-  // primitives, so with dedupe off (the bound-first stream is then exactly
-  // the list) the packed list equals the sweep's survivors appended into
-  // one set, field for field.
+TEST(BlockPacked, SlotsMatchTheirAnalyzedSpecs) {
+  // The sweep packs each slot from the fast classifier, never from a
+  // DataflowSpec; analyzing the slot must reproduce every packed field —
+  // with the quotient on and off, across the workload table.
   for (const auto& w : wl::allWorkloads()) {
-    SCOPED_TRACE(w.name);
-    stt::EnumerationOptions options;
-    options.dropAllUnicast = !w.allowAllUnicast;
-    options.dedupeBySignature = false;
-    const auto list = stt::packSpecBlocks(
-        stt::enumerateDesignSpace(w.algebra, options));
-
-    stt::SpecBlockSet windows;
-    for (const stt::LoopSelection& sel : stt::allLoopSelections(w.algebra)) {
-      const auto context = stt::makeSpecContext(w.algebra, sel);
-      const stt::SelectionGeometry geometry =
-          stt::makeSelectionGeometry(*context);
-      if (windows.tensorsPerSpec == 0) stt::resetSpecBlocks(windows, geometry);
-      stt::BoundFirstHooks hooks;
-      hooks.emit = [&](const stt::BoundFirstCandidate& c) {
-        stt::appendSpecBlock(windows, geometry, *c.matrix, c.classTag,
-                             c.absDir, c.systolicDt,
-                             geometry.selectionLabel + "-" + c.letters);
-      };
-      stt::enumerateBoundFirst(context, geometry, options, hooks);
+    for (const bool dedupe : {true, false}) {
+      SCOPED_TRACE(w.name + (dedupe ? " quotient" : " stream"));
+      stt::EnumerationOptions options;
+      options.dropAllUnicast = !w.allowAllUnicast;
+      options.dedupeBySignature = dedupe;
+      const stt::DesignSpace space = stt::packDesignSpace(w.algebra, options);
+      const stt::SpecBlockSet& set = space.blocks;
+      ASSERT_GT(set.count, 0u);
+      ASSERT_EQ(set.inputCount, w.algebra.inputs().size());
+      ASSERT_EQ(set.algebraMacs, w.algebra.totalMacs());
+      for (std::size_t i = 0; i < set.count; ++i) {
+        const stt::DataflowSpec spec = space.spec(i);
+        ASSERT_EQ(spec.label(), set.labels[i]) << i;
+        ASSERT_EQ(spec.letters(), space.letters(i)) << i;
+        const linalg::IntMatrix& m = spec.transform().matrix();
+        for (std::size_t e = 0; e < 9; ++e)
+          ASSERT_EQ(std::abs(m.at(e / 3, e % 3)), set.specAbsT(i)[e]) << i;
+        for (std::size_t j = 0; j < 3; ++j)
+          ASSERT_EQ(spec.selection().extents()[j], set.specExtents(i)[j]);
+        ASSERT_EQ(spec.tensors().size(), set.tensorsPerSpec);
+        for (std::size_t k = 0; k < set.tensorsPerSpec; ++k) {
+          const stt::TensorDataflow& df = spec.tensors()[k].dataflow;
+          const std::size_t t = set.tensorIndex(i, k);
+          ASSERT_EQ(static_cast<std::uint8_t>(df.dataflowClass),
+                    set.classTag[t]) << i << " tensor " << k;
+          const bool ranked = df.direction.size() >= 2;
+          ASSERT_EQ(ranked ? std::abs(df.direction[0]) : 0, set.absDir[t * 2]);
+          ASSERT_EQ(ranked ? std::abs(df.direction[1]) : 0,
+                    set.absDir[t * 2 + 1]);
+          ASSERT_EQ(df.dataflowClass == stt::DataflowClass::Systolic
+                        ? std::abs(df.latticeBasis.at(2, 0))
+                        : 0,
+                    set.systolicDt[t]);
+          const linalg::IntMatrix& c = spec.tensors()[k].access.coeff();
+          for (std::size_t d = 0; d < set.tensorRank[k]; ++d)
+            for (std::size_t j = 0; j < 3; ++j)
+              ASSERT_EQ(std::abs(c.at(d, j)), set.tensorAbsC(i, k)[d * 3 + j]);
+        }
+      }
     }
-    stt::assignSpecBlockClasses(windows);
-
-    ASSERT_GT(list->count, 0u);
-    EXPECT_EQ(list->count, windows.count);
-    EXPECT_EQ(list->tensorsPerSpec, windows.tensorsPerSpec);
-    EXPECT_EQ(list->inputCount, windows.inputCount);
-    EXPECT_EQ(list->algebraMacs, windows.algebraMacs);
-    EXPECT_EQ(list->extents, windows.extents);
-    EXPECT_EQ(list->outer, windows.outer);
-    EXPECT_EQ(list->absT, windows.absT);
-    EXPECT_EQ(list->labels, windows.labels);
-    EXPECT_EQ(list->classTag, windows.classTag);
-    EXPECT_EQ(list->absDir, windows.absDir);
-    EXPECT_EQ(list->systolicDt, windows.systolicDt);
-    EXPECT_EQ(list->tensorIsOutput, windows.tensorIsOutput);
-    EXPECT_EQ(list->tensorRank, windows.tensorRank);
-    EXPECT_EQ(list->rankStride, windows.rankStride);
-    EXPECT_EQ(list->absC, windows.absC);
-    EXPECT_EQ(list->mapClass, windows.mapClass);
-    EXPECT_EQ(list->mapClassCount, windows.mapClassCount);
   }
 }
 
 // --- tile-search accounting -----------------------------------------------
 
 TEST(BlockMappingCounts, OneSearchPerMappingClassEveryOtherEvaluationAHit) {
-  ExploreQuery q(wl::gemm(16, 16, 16));
+  ExploreQuery q(wl::findWorkload("depthwise")->algebra);
   q.array.rows = q.array.cols = 4;
+  q.enumeration.maxEntry = 2;
   ServiceOptions options = serviceOptions(1);
   options.enablePruning = false;
 
   ExplorationService service(options);
   const QueryResult r = service.run(q);
   const CacheStats stats = service.cacheStats();
-  const auto packed =
-      stt::packSpecBlocks(stt::enumerateDesignSpace(q.algebra, q.enumeration));
-  EXPECT_EQ(stats.mappings.misses, packed->mapClassCount);
+  const stt::DesignSpace space = stt::packDesignSpace(q.algebra, q.enumeration);
+  EXPECT_EQ(stats.mappings.misses, space.blocks.mapClassCount);
   EXPECT_LT(stats.mappings.misses, stats.misses);  // classes actually share
   EXPECT_EQ(stats.mappings.hits + stats.mappings.misses, stats.misses);
   EXPECT_EQ(r.cache.misses, r.designs);
@@ -345,19 +336,9 @@ TEST(BlockMappingCounts, OneSearchPerMappingClassEveryOtherEvaluationAHit) {
   EXPECT_EQ(service.cacheStats().mappings.hits, stats.mappings.hits);
   EXPECT_EQ(service.cacheStats().mappings.misses, stats.mappings.misses);
 
-  // Bound-first windows keep their own stores; the split still covers
-  // every packed evaluation exactly once.
-  ExploreQuery boundFirst = q;
-  boundFirst.enumeration.boundFirst = true;
-  ExplorationService fresh(options);
-  fresh.run(boundFirst);
-  const CacheStats bf = fresh.cacheStats();
-  EXPECT_GT(bf.mappings.misses, 0u);
-  EXPECT_EQ(bf.mappings.hits + bf.mappings.misses, bf.misses);
-
-  fresh.clearCache();
-  EXPECT_EQ(fresh.cacheStats().mappings.hits, 0u);
-  EXPECT_EQ(fresh.cacheStats().mappings.misses, 0u);
+  service.clearCache();
+  EXPECT_EQ(service.cacheStats().mappings.hits, 0u);
+  EXPECT_EQ(service.cacheStats().mappings.misses, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // as a test oracle for the direct engine in src/stt/enumerate.cpp: decode
 // every matrix of the (2*maxEntry+1)^9 cube, filter by exact rational
 // determinant, canonicalize, dedupe through a set, sort simplest-first; then
-// analyze every candidate serially, filter, and dedupe by signature string.
+// analyze every candidate serially and filter. It has no quotient: its
+// output is the exact candidate stream the engine emits with
+// EnumerationOptions::dedupeBySignature off.
 // It shares no generation, memo, parallelism or hashing code with the
 // engine it checks, so byte-identical output is real evidence.
 #pragma once
@@ -124,20 +126,18 @@ inline const std::vector<linalg::IntMatrix>& legacyCandidateMatrices(
   return memo.emplace(key, std::move(out)).first->second;
 }
 
-/// enumerateTransforms through the legacy engine (classic mode only: the
-/// bound-first class quotient has no legacy counterpart).
+/// enumerateTransforms through the legacy engine: the exact filtered
+/// stream (options.dedupeBySignature is ignored — the evaluation-class
+/// quotient has no legacy counterpart).
 inline std::vector<stt::DataflowSpec> legacyEnumerateTransforms(
     const tensor::TensorAlgebra& algebra, const stt::LoopSelection& selection,
     const stt::EnumerationOptions& options) {
   const stt::SpecContextPtr context = stt::makeSpecContext(algebra, selection);
-  std::set<std::string> signatures;
   std::vector<stt::DataflowSpec> out;
   for (const linalg::IntMatrix& m : legacyCandidateMatrices(options)) {
     stt::DataflowSpec spec =
         stt::analyzeDataflow(context, stt::SpaceTimeTransform(m));
     if (!legacy_detail::passesFilters(spec, options)) continue;
-    if (options.dedupeBySignature && !signatures.insert(spec.signature()).second)
-      continue;
     out.push_back(std::move(spec));
   }
   return out;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/error.hpp"
 
 namespace tensorlib::linalg {
@@ -17,6 +19,38 @@ TEST(Matrix, InitializerList) {
 
 TEST(Matrix, RaggedInitializerThrows) {
   EXPECT_THROW((IntMatrix{{1, 2}, {3}}), Error);
+}
+
+TEST(Matrix, OutOfRangeAtThrowsItsMessage) {
+  IntMatrix m{{1, 2}, {3, 4}};
+  try {
+    (void)m.at(2, 0);
+    FAIL() << "at(2, 0) on a 2x2 matrix must throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "Matrix index out of range");
+  }
+}
+
+TEST(Check, FailingCheckThrowsErrorCarryingItsMessage) {
+  const int answer = 41;
+  try {
+    TL_CHECK(answer == 42, "answer is " + std::to_string(answer));
+    FAIL() << "a failing TL_CHECK must throw";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "answer is 41");
+  }
+}
+
+TEST(Check, PassingCheckNeverEvaluatesItsMessage) {
+  int built = 0;
+  const auto message = [&] {
+    ++built;
+    return std::string("unused");
+  };
+  for (int i = 0; i < 3; ++i) TL_CHECK(i < 3, message());
+  EXPECT_EQ(built, 0);
+  EXPECT_THROW(TL_CHECK(false, message()), Error);
+  EXPECT_EQ(built, 1);
 }
 
 TEST(Matrix, Identity) {

@@ -119,6 +119,33 @@ TEST_F(SnapshotTest, RoundtripServesEveryQueryFromCache) {
   for (const auto& r : warm) EXPECT_EQ(r.cache.misses, 0u) << "cold misses";
 }
 
+TEST_F(SnapshotTest, EvaluationKeysKeepTheKeysV2Rendering) {
+  // "keys-v2" names this rendering: algebra|array|backend| then the
+  // selection's loop indices, the letters and Matrix::str() of the signed
+  // transform. Pin two slots of an unpruned gemm run, one with a negative
+  // entry.
+  const tensor::TensorAlgebra g = wl::gemm(5, 5, 5);
+  const stt::LoopSelection mnk(g, {0, 1, 2});
+  ServiceOptions options;
+  options.threads = 1;
+  options.enablePruning = false;
+  ExplorationService service(options);
+  ExploreQuery q(g);
+  q.array.rows = q.array.cols = 4;
+  q.enumeration.dedupeBySignature = false;
+  service.run(q);
+  ASSERT_TRUE(service.saveSnapshot(path_, fingerprint_));
+  const std::string bytes = readFile();
+  for (const linalg::IntMatrix& m :
+       {linalg::IntMatrix{{0, 1, 0}, {1, 0, 0}, {0, 0, 1}},
+        linalg::IntMatrix{{0, 1, 0}, {1, 0, 0}, {1, -1, 1}}}) {
+    const stt::DataflowSpec spec =
+        stt::analyzeDataflow(g, mnk, stt::SpaceTimeTransform(m));
+    const std::string key = "0.1.2.|" + spec.letters() + "|" + m.str();
+    EXPECT_NE(bytes.find(key), std::string::npos) << key;
+  }
+}
+
 TEST_F(SnapshotTest, MissingFileIsCleanColdStart) {
   ExplorationService service;
   const auto result = service.restoreSnapshot(path_, fingerprint_);

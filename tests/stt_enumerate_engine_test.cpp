@@ -1,7 +1,10 @@
 // Equivalence tests for the enumeration engine: the direct-canonical
-// generator, with its process-wide candidate memo and parallel analysis,
-// must return byte-identical spec sequences to the serial decode-all
-// oracle in tests/legacy_enumeration.hpp, cold (memo cleared) and warm.
+// generator, with its process-wide candidate memo, fast classifier and
+// parallel analysis, must return byte-identical spec sequences to the
+// serial decode-all oracle in tests/legacy_enumeration.hpp, cold (memo
+// cleared) and warm. The oracle has no quotient, so the sequences compared
+// are the exact candidate streams (dedupeBySignature off); the quotient
+// is checked against that stream by stt_quotient_test.
 #include "stt/enumerate.hpp"
 
 #include <gtest/gtest.h>
@@ -20,9 +23,11 @@ using oracle::legacyEnumerateDesignSpace;
 using oracle::legacyEnumerateTransforms;
 using oracle::legacyFindDataflow;
 
-EnumerationOptions withMaxEntry(int maxEntry) {
+/// The exact stream at `maxEntry`: every filtered candidate, unquotiented.
+EnumerationOptions streamAt(int maxEntry) {
   EnumerationOptions o;
   o.maxEntry = maxEntry;
+  o.dedupeBySignature = false;
   return o;
 }
 
@@ -50,7 +55,7 @@ TEST(EnumerateEngine, MatchesLegacyOracleByteIdentical) {
   // selections it drops whole).
   for (const auto& w : wl::allWorkloads()) {
     SCOPED_TRACE(w.name);
-    EnumerationOptions options = withMaxEntry(1);
+    EnumerationOptions options = streamAt(1);
     options.dropAllUnicast = !w.allowAllUnicast;
     clearCandidateCache();
     const auto cold = enumerateDesignSpace(w.algebra, options);
@@ -62,16 +67,15 @@ TEST(EnumerateEngine, MatchesLegacyOracleByteIdentical) {
 
 TEST(EnumerateEngine, MultiSelectionAlgebraMatches) {
   const auto mt = wl::mttkrp(6, 6, 6, 6);
-  EXPECT_EQ(fingerprint(enumerateDesignSpace(mt, withMaxEntry(1))),
-            fingerprint(legacyEnumerateDesignSpace(mt, withMaxEntry(1))));
+  EXPECT_EQ(fingerprint(enumerateDesignSpace(mt, streamAt(1))),
+            fingerprint(legacyEnumerateDesignSpace(mt, streamAt(1))));
 }
 
 TEST(EnumerateEngine, NonCanonicalNonUnimodularMatches) {
   const auto g = wl::gemm(4, 4, 4);
-  EnumerationOptions o = withMaxEntry(1);
+  EnumerationOptions o = streamAt(1);
   o.canonicalize = false;
   o.requireUnimodular = false;
-  o.dedupeBySignature = false;
   const LoopSelection sel(g, {0, 1, 2});
   EXPECT_EQ(fingerprint(enumerateTransforms(g, sel, o)),
             fingerprint(legacyEnumerateTransforms(g, sel, o)));
@@ -81,8 +85,8 @@ TEST(EnumerateEngine, ColdAndWarmCallsAreDeterministic) {
   const auto g = wl::gemm(8, 8, 8);
   clearCandidateCache();
   const auto before = candidateCacheStats();
-  const auto cold = enumerateDesignSpace(g, withMaxEntry(1));  // memo miss
-  const auto warm = enumerateDesignSpace(g, withMaxEntry(1));  // memo hit
+  const auto cold = enumerateDesignSpace(g, EnumerationOptions{});  // miss
+  const auto warm = enumerateDesignSpace(g, EnumerationOptions{});  // hit
   const auto after = candidateCacheStats();
   EXPECT_EQ(after.misses - before.misses, 1u);
   EXPECT_GE(after.hits - before.hits, 1u);
@@ -94,7 +98,7 @@ TEST(EnumerateEngine, FindDataflowAgreesWithLegacyOracle) {
   const LoopSelection mnk(g, {0, 1, 2});
   for (const std::string letters : {"MTM", "SST", "TSS"}) {
     const auto fast = findDataflowByLabel(g, "MNK-" + letters);
-    const auto reference = legacyFindDataflow(g, mnk, letters, withMaxEntry(1));
+    const auto reference = legacyFindDataflow(g, mnk, letters, streamAt(1));
     ASSERT_TRUE(fast.has_value() && reference.has_value()) << letters;
     EXPECT_TRUE(fast->transform().matrix() == reference->transform().matrix())
         << letters;

@@ -162,26 +162,6 @@ TEST(Enumerate, FullReuseFilterHonored) {
   EXPECT_TRUE(sawFullReuse);
 }
 
-TEST(Enumerate, SignatureHashAgreesWithSignatureStrings) {
-  // The hot dedupe path keys on signatureHash(); it must partition the
-  // space exactly like the canonical signature strings it replaces.
-  for (const auto& algebra : {wl::gemm(16, 16, 16), wl::mttkrp(6, 6, 6, 6)}) {
-    EnumerationOptions keepAll;
-    keepAll.dedupeBySignature = false;
-    for (const auto& sel : allLoopSelections(algebra)) {
-      std::map<std::uint64_t, std::string> byHash;
-      std::set<std::string> bySignature;
-      for (const auto& s : enumerateTransforms(algebra, sel, keepAll)) {
-        const std::string sig = s.signature();
-        const auto [it, inserted] = byHash.emplace(s.signatureHash(), sig);
-        EXPECT_EQ(it->second, sig) << "hash collision: " << s.describe();
-        EXPECT_EQ(inserted, bySignature.insert(sig).second) << s.describe();
-      }
-      EXPECT_EQ(byHash.size(), bySignature.size());
-    }
-  }
-}
-
 TEST(Enumerate, SharedContextAliasesOneAlgebra) {
   // Zero-copy enumeration: every spec of one sweep shares the identical
   // (algebra, selection) context instead of owning deep copies.

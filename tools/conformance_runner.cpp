@@ -83,8 +83,10 @@ int main(int argc, char** argv) {
       if (a == "--workload") workload = next();
       else if (a == "--seeds")
         seeds = static_cast<std::int64_t>(count(kSeedMax));
-      else if (a == "--seed-base") seedBase = std::stoll(next());
-      else if (a == "--data-seed") options.dataSeed = std::stoull(next());
+      else if (a == "--seed-base")
+        seedBase = driver::wire::parseIntFlag("--seed-base", next(),
+                                              driver::wire::kNonNegativeRange);
+      else if (a == "--data-seed") options.dataSeed = count();
       else if (a == "--rows")
         options.array.rows = driver::wire::parseIntFlag(
             "--rows", next(), driver::wire::kArraySideRange);
@@ -93,7 +95,9 @@ int main(int argc, char** argv) {
             "--cols", next(), driver::wire::kArraySideRange);
       else if (a == "--max-specs") options.maxSpecsPerSelection = count();
       else if (a == "--max-rtl") options.maxRtlSpecs = count();
-      else if (a == "--time-budget-ms") timeBudgetMs = std::stoll(next());
+      else if (a == "--time-budget-ms")
+        timeBudgetMs = driver::wire::parseIntFlag(
+            "--time-budget-ms", next(), driver::wire::kNonNegativeRange);
       else if (a == "--model") model = next();
       else if (a == "--network-seeds")
         networkSeeds = static_cast<std::int64_t>(count(kSeedMax));
@@ -102,10 +106,8 @@ int main(int argc, char** argv) {
       else if (a == "--list") list = true;
       else return usage();
     }
-  } catch (const Error& e) {  // an array flag out of range
+  } catch (const Error& e) {  // a flag value malformed or out of range
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception&) {  // non-numeric / overflowing flag value
     return usage();
   }
 

@@ -23,10 +23,13 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "driver/explore_client.hpp"
+#include "driver/wire.hpp"
+#include "support/error.hpp"
 
 namespace {
 
@@ -48,6 +51,7 @@ int usage() {
 int main(int argc, char** argv) {
   using tensorlib::driver::ClientOptions;
   using tensorlib::driver::ExploreClient;
+  namespace wire = tensorlib::driver::wire;
 
   std::string serverBinary;
   std::string connect;
@@ -65,29 +69,30 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       if (a == "--server") serverBinary = next();
-      else if (a == "--port") options.port = std::stoi(next());
+      else if (a == "--port")
+        options.port = static_cast<int>(
+            wire::parseIntFlag("--port", next(), wire::kPortRange));
       else if (a == "--unix-socket") options.unixSocketPath = next();
       else if (a == "--connect") connect = next();
       else if (a == "--file") file = next();
       else if (a == "--cache-stats") cacheStats = true;
       else if (a == "--shutdown") shutdown = true;
-      else if (a == "--max-attempts") options.maxAttempts = std::stoi(next());
+      else if (a == "--max-attempts")
+        options.maxAttempts = static_cast<int>(wire::parseIntFlag(
+            "--max-attempts", next(), {1, std::numeric_limits<int>::max()}));
       else if (a == "--snapshot") snapshot = next();
       else return usage();
     }
-  } catch (const std::exception&) {
-    return usage();
-  }
-
-  if (!connect.empty()) {
-    const auto colon = connect.rfind(':');
-    if (colon == std::string::npos || !serverBinary.empty()) return usage();
-    options.host = connect.substr(0, colon);
-    try {
-      options.port = std::stoi(connect.substr(colon + 1));
-    } catch (const std::exception&) {
-      return usage();
+    if (!connect.empty()) {
+      const auto colon = connect.rfind(':');
+      if (colon == std::string::npos || !serverBinary.empty()) return usage();
+      options.host = connect.substr(0, colon);
+      options.port = static_cast<int>(wire::parseIntFlag(
+          "--connect", connect.substr(colon + 1), {1, 65535}));
     }
+  } catch (const tensorlib::Error& e) {  // a flag value malformed or out of range
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return usage();
   }
   if (!serverBinary.empty()) {
     options.command = {serverBinary, "--serve"};

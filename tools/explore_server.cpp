@@ -261,24 +261,32 @@ int main(int argc, char** argv) {
       else if (a == "--serve") serveMode = true;
       else if (a == "--snapshot") daemonOptions.snapshotPath = next();
       else if (a == "--snapshot-interval-ms")
-        daemonOptions.snapshotIntervalMs = std::stoll(next());
+        daemonOptions.snapshotIntervalMs = driver::wire::parseIntFlag(
+            "--snapshot-interval-ms", next(), driver::wire::kNonNegativeRange);
       else if (a == "--queue-bound") daemonOptions.queueBound = count();
       else if (a == "--client-queue-bound")
         daemonOptions.perClientQueueBound = count();
       else if (a == "--workers")
         daemonOptions.workers = count(driver::wire::kMaxThreads);
       else if (a == "--default-deadline-ms")
-        daemonOptions.defaultDeadlineMs = std::stoll(next());
-      else if (a == "--port") socketOptions.port = std::stoi(next());
+        daemonOptions.defaultDeadlineMs = driver::wire::parseIntFlag(
+            "--default-deadline-ms", next(), driver::wire::kNonNegativeRange);
+      else if (a == "--port")
+        socketOptions.port = static_cast<int>(driver::wire::parseIntFlag(
+            "--port", next(), driver::wire::kPortRange));
       else if (a == "--bind") socketOptions.bindAddress = next();
       else if (a == "--unix-socket") socketOptions.unixSocketPath = next();
       else if (a == "--write-queue-bound")
         socketOptions.writeQueueBound = count();
       else if (a == "--send-buffer-bytes")
-        socketOptions.sendBufferBytes = std::stoi(next());
+        socketOptions.sendBufferBytes =
+            static_cast<int>(driver::wire::parseIntFlag(
+                "--send-buffer-bytes", next(),
+                {0, std::numeric_limits<int>::max()}));
       else return usage();
     }
-  } catch (const std::exception&) {
+  } catch (const Error& e) {  // a flag value malformed or out of range
+    std::fprintf(stderr, "error: %s\n", e.what());
     return usage();
   }
 

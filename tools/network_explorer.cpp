@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
         dataWidth = static_cast<int>(
             wire::parseIntFlag("--data-width", next(), wire::kDataWidthRange));
       else if (a == "--max-entry")
-        maxEntry = wire::checkMaxEntry(std::stoll(next()));
+        maxEntry = static_cast<int>(
+            wire::parseIntFlag("--max-entry", next(), wire::kMaxEntryRange));
       else if (a == "--threads") threads = count(wire::kMaxThreads);
       else if (a == "--max-frontier") maxFrontier = count();
       else if (a == "--objective") {
@@ -122,10 +123,8 @@ int main(int argc, char** argv) {
       } else if (a == "--list-models") listModels = true;
       else return usage();
     }
-  } catch (const Error& e) {  // a flag value out of range
+  } catch (const Error& e) {  // a flag value malformed or out of range
     std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const std::exception&) {
     return usage();
   }
 
