@@ -1,15 +1,17 @@
 // Snapshot restore vs cold start benchmark (the resident-daemon anchor).
 //
-// Runs the shared 10-query overlapping service scenario three ways:
+// Runs the shared 10-query overlapping service scenario two ways:
 //
 //   cold      fresh service, empty candidate memo — every design point
 //             enumerated, mapped and evaluated from scratch.
 //   restored  fresh service + empty candidate memo that first restores a
-//             snapshot written by the cold run, then serves the same
+//             snapshot written by the first cold run, then serves the same
 //             traffic (timed INCLUDING the restore — the daemon's real
 //             restart-to-answer latency).
 //
-// plus the restored run again at 1 and 8 worker threads. All frontiers and
+// Each side is timed as the median of 5 interleaved repetitions (one in
+// smoke mode): a single 25–55 ms timing swings too much to gate on. Then
+// the restored run goes again at 1 and 8 worker threads. All frontiers and
 // winners are asserted bit-identical to the cold run — a snapshot may only
 // change how fast answers arrive, never what they are.
 //
@@ -17,7 +19,9 @@
 // service/pruning gates (gate: restored >= 1.3x cold, full mode only).
 //
 // Usage: bench_daemon [--smoke] [--out <path>]
-//   --smoke   maxEntry=1 spaces, correctness asserts only, no timing gates
+//   --smoke   maxEntry=1 spaces, one repetition, correctness asserts only,
+//             no timing gates
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -43,9 +47,16 @@ double msSince(Clock::time_point start) {
 // Was 2.0 when the cold start ran the scalar per-candidate pipeline. The
 // block pipeline made the cold start itself ~3x faster, and snapshots carry
 // no tile mappings (a restored evaluation never searches), so the restore's
-// remaining win is the eval cache + candidate lists: measured 1.70x
-// (cold ~740 ms, restored ~435 ms) on the reference container.
+// remaining win is the eval cache + candidate lists. Single-shot timings
+// on a 4-vCPU host read 1.19–1.88x (one run in eight under the gate), so
+// each side is the median of kReps repetitions.
 constexpr double kGateMinSpeedup = 1.3;
+constexpr int kReps = 5;  ///< timed repetitions per side in full mode
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 struct DaemonReport {
   std::size_t designs = 0;  ///< design points across the batch
@@ -54,32 +65,39 @@ struct DaemonReport {
   double speedup() const { return coldMs / restoredMs; }
 };
 
-DaemonReport benchDaemon(int maxEntry, const std::string& snapshotPath) {
+DaemonReport benchDaemon(int maxEntry, int reps,
+                         const std::string& snapshotPath) {
   DaemonReport r;
   const auto batch = bench::serviceScenarioBatch(maxEntry);
   const std::string fingerprint = driver::snapshot::cacheSchemaFingerprint();
 
-  // --- cold: empty process-wide candidate memo, fresh service.
   std::vector<driver::QueryResult> cold;
-  {
-    stt::clearCandidateCache();
-    driver::ExplorationService service;
-    const auto t = Clock::now();
-    cold = service.runBatch(batch);
-    r.coldMs = msSince(t);
-    TL_CHECK(service.saveSnapshot(snapshotPath, fingerprint),
-             "snapshot write failed");
-  }
-  for (const auto& res : cold) r.designs += res.designs;
+  std::vector<double> coldMs, restoredMs;
+  for (int rep = 0; rep < reps; ++rep) {
+    // --- cold: empty process-wide candidate memo, fresh service. The
+    // first repetition writes the snapshot every restore reads.
+    {
+      stt::clearCandidateCache();
+      driver::ExplorationService service;
+      const auto t = Clock::now();
+      auto results = service.runBatch(batch);
+      coldMs.push_back(msSince(t));
+      if (rep == 0) {
+        cold = std::move(results);
+        TL_CHECK(service.saveSnapshot(snapshotPath, fingerprint),
+                 "snapshot write failed");
+      } else {
+        bench::checkSameResults(cold, results);
+      }
+    }
 
-  // --- restored: restart-to-answer latency = restore + serve.
-  {
+    // --- restored: restart-to-answer latency = restore + serve.
     stt::clearCandidateCache();
     driver::ExplorationService service;
     const auto t = Clock::now();
     const auto restore = service.restoreSnapshot(snapshotPath, fingerprint);
     const auto warm = service.runBatch(batch);
-    r.restoredMs = msSince(t);
+    restoredMs.push_back(msSince(t));
     TL_CHECK(restore.restored(),
              "restore failed: " +
                  driver::snapshot::restoreStatusName(restore.status) +
@@ -88,6 +106,9 @@ DaemonReport benchDaemon(int maxEntry, const std::string& snapshotPath) {
     r.candidateLists = restore.candidateLists;
     bench::checkSameResults(cold, warm);
   }
+  for (const auto& res : cold) r.designs += res.designs;
+  r.coldMs = median(coldMs);
+  r.restoredMs = median(restoredMs);
 
   // --- bit-identity of the restored service across thread counts.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
@@ -120,11 +141,12 @@ int main(int argc, char** argv) {
   try {
     bench::printHeader(smoke ? "Snapshot restore (smoke)"
                              : "Snapshot restore vs cold start");
-    const DaemonReport r = benchDaemon(smoke ? 1 : 2, snapshotPath);
+    const int reps = smoke ? 1 : kReps;
+    const DaemonReport r = benchDaemon(smoke ? 1 : 2, reps, snapshotPath);
     std::remove(snapshotPath.c_str());
     std::printf(
-        "  cold %.1f ms | restored %.1f ms (%.2fx)  [%zu design evals; "
-        "snapshot: %zu evals, %zu candidate lists; frontiers "
+        "  cold %.1f ms | restored %.1f ms (%.2fx, medians)  [%zu design "
+        "evals; snapshot: %zu evals, %zu candidate lists; frontiers "
         "bit-identical at 1 and 8 threads]\n",
         r.coldMs, r.restoredMs, r.speedup(), r.designs, r.evalEntries,
         r.candidateLists);
@@ -136,6 +158,7 @@ int main(int argc, char** argv) {
          << ", \"cold_ms\": " << r.coldMs
          << ", \"restored_ms\": " << r.restoredMs
          << ", \"restored_speedup\": " << r.speedup()
+         << ", \"reps\": " << reps
          << ", \"snapshot_evals\": " << r.evalEntries
          << ", \"snapshot_candidate_lists\": " << r.candidateLists
          << ", \"threads_checked\": \"1,8\""

@@ -1,18 +1,23 @@
 #include "driver/explore_service.hpp"
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <mutex>
 #include <sstream>
 #include <string_view>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <unordered_map>
 
 #include "sim/perf.hpp"
+#include "stt/block.hpp"
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/threadpool.hpp"
@@ -49,48 +54,191 @@ std::string enumKey(const stt::EnumerationOptions& o) {
   return os.str();
 }
 
-/// A candidate's evaluation-cache key suffix, "i.j.k.|letters|matrix". The
-/// selection's loop INDICES are part of the key:
-/// labels abbreviate loops to initials, so two selections over
-/// same-initial loops (e.g. {m,n,ka} and {m,n,kb}) would otherwise collide
-/// at equal transforms.
-std::string specKey(const stt::LoopSelection& selection,
-                    std::string_view letters, const linalg::IntMatrix& matrix) {
-  // Rendered with to_chars, not a stream: a design space renders one key
-  // per slot. The matrix part is exactly matrix.str().
-  std::string key;
-  char digits[24];
+/// A slot's evaluation-cache key suffix in fixed-size form: the selection's
+/// loop INDICES, the per-tensor letters and the signed 3x3 transform. The
+/// indices are part of the key: labels abbreviate loops to initials, so two
+/// selections over same-initial loops (e.g. {m,n,ka} and {m,n,kb}) would
+/// otherwise collide at equal transforms.
+struct SlotKey {
+  std::array<std::uint32_t, 3> loops{};
+  std::array<char, stt::kBlockMaxTensors> letters{};  ///< NUL-padded
+  std::array<std::int32_t, 9> matrix{};
+
+  bool operator==(const SlotKey& o) const {
+    return loops == o.loops && letters == o.letters && matrix == o.matrix;
+  }
+};
+
+/// A design space's slot key with its hash, both computed once per space.
+struct KeyedSlot {
+  SlotKey key;
+  std::uint64_t hash = 0;
+};
+
+/// The splitmix64 finalizer: a full-avalanche 64-bit mix.
+std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Hashes the key's 56 bytes as seven words (SlotKey has no padding).
+std::uint64_t hashSlot(const SlotKey& key) {
+  static_assert(sizeof(SlotKey) == 56 &&
+                std::has_unique_object_representations_v<SlotKey>);
+  std::uint64_t words[7];
+  std::memcpy(words, &key, sizeof words);
+  std::uint64_t h = 0;
+  for (std::uint64_t w : words) h = mix64(h ^ w);
+  return h;
+}
+
+KeyedSlot keySlot(const stt::LoopSelection& selection, std::string_view letters,
+                  const linalg::IntMatrix& matrix) {
+  TL_CHECK(letters.size() <= stt::kBlockMaxTensors, "slot key: too many tensors");
+  KeyedSlot slot;
+  for (std::size_t i = 0; i < 3; ++i)
+    slot.key.loops[i] = static_cast<std::uint32_t>(selection.indices().at(i));
+  std::copy(letters.begin(), letters.end(), slot.key.letters.begin());
+  for (std::size_t i = 0; i < 9; ++i) {
+    const std::int64_t v = matrix.at(i / 3, i % 3);
+    TL_CHECK(v >= INT32_MIN && v <= INT32_MAX, "slot key: entry out of range");
+    slot.key.matrix[i] = static_cast<std::int32_t>(v);
+  }
+  slot.hash = hashSlot(slot.key);
+  return slot;
+}
+
+/// Appends the keys-v2 rendering of `key`, "i.j.k.|letters|[matrix]" (the
+/// matrix part is exactly Matrix::str()), with to_chars, not a stream.
+void renderSlotKey(const SlotKey& key, std::string& out) {
+  char digits[16];
   const auto put = [&](auto v) {
-    key.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
   };
-  for (std::size_t idx : selection.indices()) {
+  for (std::uint32_t idx : key.loops) {
     put(idx);
-    key += '.';
+    out += '.';
   }
-  key += '|';
-  key += letters;
-  key += "|[";
-  for (std::size_t r = 0; r < matrix.rows(); ++r) {
-    if (r) key += "; ";
-    for (std::size_t c = 0; c < matrix.cols(); ++c) {
-      if (c) key += ' ';
-      put(matrix.at(r, c));
-    }
+  out += '|';
+  out.append(key.letters.data(),
+             std::find(key.letters.begin(), key.letters.end(), '\0') -
+                 key.letters.begin());
+  out += "|[";
+  for (std::size_t i = 0; i < 9; ++i) {
+    if (i) out += i % 3 ? " " : "; ";
+    put(key.matrix[i]);
   }
-  key += ']';
+  out += ']';
+}
+
+/// Parses a keys-v2 suffix back into its slot key. Strict: only a string
+/// renderSlotKey produces parses (no sign, leading zero, missing or extra
+/// field, or trailing byte), so a restored key re-saves byte-identically.
+SlotKey parseSlotKey(std::string_view text) {
+  SlotKey key;
+  std::size_t pos = 0;
+  const auto malformed = [&] {
+    fail("snapshot evaluation key suffix '" + std::string(text) +
+         "' is malformed");
+  };
+  const auto expect = [&](std::string_view literal) {
+    if (text.substr(pos, literal.size()) != literal) malformed();
+    pos += literal.size();
+  };
+  const auto number = [&](auto& v) {
+    const auto [end, ec] =
+        std::from_chars(text.data() + pos, text.data() + text.size(), v);
+    if (ec != std::errc{}) malformed();
+    pos = static_cast<std::size_t>(end - text.data());
+  };
+  for (std::uint32_t& idx : key.loops) {
+    number(idx);
+    expect(".");
+  }
+  expect("|");
+  const std::size_t bar = text.find('|', pos);
+  if (bar == std::string_view::npos || bar == pos ||
+      bar - pos > key.letters.size())
+    malformed();
+  std::copy(text.begin() + pos, text.begin() + bar, key.letters.begin());
+  pos = bar;
+  expect("|[");
+  for (std::size_t i = 0; i < 9; ++i) {
+    if (i) expect(i % 3 ? " " : "; ");
+    number(key.matrix[i]);
+  }
+  expect("]");
+  std::string canonical;
+  renderSlotKey(key, canonical);
+  if (canonical != text) malformed();
   return key;
 }
 
+/// A query's evaluation-cache key prefix, "algebra|array|backend|",
+/// rendered and hashed once per query. Cache entries share it by
+/// shared_ptr, so a prefix lives exactly as long as some entry or query
+/// needs it.
+struct EvalPrefix {
+  std::string text;
+  std::uint64_t hash = 0;
+};
+using EvalPrefixPtr = std::shared_ptr<const EvalPrefix>;
+
+EvalPrefixPtr makePrefix(std::string text) {
+  const std::uint64_t hash = std::hash<std::string>{}(text);
+  return std::make_shared<const EvalPrefix>(EvalPrefix{std::move(text), hash});
+}
+
+/// A full evaluation-cache key: the prefix (by pointer; the entry the key
+/// maps to keeps it alive), the slot, and their combined hash. Equality is
+/// exact: a pointer mismatch falls back to comparing the prefix text.
+struct EvalKey {
+  const EvalPrefix* prefix = nullptr;
+  std::uint64_t hash = 0;
+  SlotKey slot;
+
+  EvalKey(const EvalPrefix& p, const KeyedSlot& s)
+      : prefix(&p), hash(mix64(p.hash ^ s.hash)), slot(s.key) {}
+
+  bool operator==(const EvalKey& o) const {
+    return hash == o.hash && slot == o.slot &&
+           (prefix == o.prefix || prefix->text == o.prefix->text);
+  }
+};
+
+struct EvalKeyHash {
+  std::size_t operator()(const EvalKey& key) const noexcept {
+    return static_cast<std::size_t>(key.hash);
+  }
+};
+
+/// One memoized evaluation. The first thread to reach the entry computes
+/// it under the once_flag; concurrent askers block until it is ready, so
+/// overlapping queries inside one batch still evaluate each point once.
+struct EvalEntry {
+  explicit EvalEntry(EvalPrefixPtr p) : prefix(std::move(p)) {}
+
+  const EvalPrefixPtr prefix;  ///< keeps the map key's prefix alive
+  std::once_flag once;
+  sim::PerfResult perf;
+  cost::CostReport cost;
+  /// Set (release) after `once` ran: snapshot export must only persist
+  /// entries whose values are actually populated, and the once_flag
+  /// itself cannot be queried.
+  std::atomic<bool> ready{false};
+};
+
 ParetoEntry paretoEntryOf(const sim::PerfResult& perf,
-                          const cost::CostFigures& figures, std::size_t order,
-                          std::string label) {
+                          const cost::CostFigures& figures, std::size_t order) {
   ParetoEntry e;
   e.cost.cycles = static_cast<double>(perf.totalCycles);
   e.cost.powerMw = figures.powerMw;
   e.cost.area = figures.area;
   e.cost.utilization = perf.utilization;
   e.order = order;
-  e.label = std::move(label);
   return e;
 }
 
@@ -119,7 +267,8 @@ struct Deadline {
 /// What one work unit accumulates; merged per query in unit order.
 struct UnitOut {
   ParetoFrontier frontier;
-  std::unordered_map<std::size_t, DesignReport> kept;  ///< order -> report
+  /// order -> evaluation of each frontier keeper (analyzed at the merge)
+  std::unordered_map<std::size_t, std::shared_ptr<const EvalEntry>> kept;
   std::uint64_t hits = 0, misses = 0, pruned = 0, skipped = 0;
   /// Packed evaluations this unit ran (each reads one mapping-store slot).
   std::uint64_t evaluations = 0;
@@ -145,35 +294,22 @@ std::string CacheStats::str() const {
 // ---- service implementation ------------------------------------------------
 
 struct ExplorationService::Impl {
-  /// One memoized evaluation. The first thread to reach the entry computes
-  /// it under the once_flag; concurrent askers block until it is ready, so
-  /// overlapping queries inside one batch still evaluate each point once.
-  struct EvalEntry {
-    std::once_flag once;
-    sim::PerfResult perf;
-    cost::CostReport cost;
-    /// Set (release) after `once` ran: snapshot export must only persist
-    /// entries whose values are actually populated, and the once_flag
-    /// itself cannot be queried.
-    std::atomic<bool> ready{false};
-  };
-
   struct EvalShard {
     mutable std::mutex mutex;
-    std::unordered_map<std::string, std::shared_ptr<EvalEntry>> map;
-    std::deque<std::string> fifo;  ///< insertion order, for eviction
+    std::unordered_map<EvalKey, std::shared_ptr<EvalEntry>, EvalKeyHash> map;
+    std::deque<EvalKey> fifo;  ///< insertion order, for eviction
     std::uint64_t hits = 0, misses = 0, evictions = 0;
   };
 
   /// Memoized design space (stt::packDesignSpace: the uncut evaluation-
   /// class quotient, shared by every array, backend and objective) with
-  /// its per-slot cache-key suffixes, built once per (algebra, enumeration)
-  /// no matter how many queries share it (in-flight holders keep evicted
+  /// its per-slot cache keys, built once per (algebra, enumeration) no
+  /// matter how many queries share it (in-flight holders keep evicted
   /// spaces alive through the shared_ptr).
   struct SpaceEntry {
     std::once_flag once;
     std::shared_ptr<const stt::DesignSpace> space;
-    std::vector<std::string> specKeys;
+    std::vector<KeyedSlot> slots;
   };
 
   /// One work unit in flight: what runBlock() reads and accumulates. The
@@ -181,18 +317,17 @@ struct ExplorationService::Impl {
   /// nothing per candidate.
   struct UnitRun {
     UnitRun(const ExploreQuery& q, const cost::CostBackend& b,
-            const std::string& prefix, UnitOut& o)
-        : query(q), backend(b), keyPrefix(prefix), out(o) {}
+            const EvalPrefixPtr& p, UnitOut& o)
+        : query(q), backend(b), prefix(p), out(o) {}
 
     const ExploreQuery& query;
     const cost::CostBackend& backend;
-    const std::string& keyPrefix;  ///< evalPrefix() of the query
+    const EvalPrefixPtr& prefix;  ///< the query's key prefix
     UnitOut& out;
     /// Incumbents the query's other units published. Every incumbent is a
     /// fully evaluated true cost, so pruning against a snapshot of any age
     /// is sound; only how many candidates get cut varies.
     ParetoFrontier snapshot;
-    std::string key;
     std::vector<std::shared_ptr<EvalEntry>> resident;
     std::vector<std::uint8_t> state;  ///< 0 evaluate, 1 cache hit, 2 pruned
     std::vector<std::size_t> pending;
@@ -228,11 +363,15 @@ struct ExplorationService::Impl {
     return cap > 0 ? cap : 1;
   }
 
+  EvalShard& shardOf(const EvalKey& key) {
+    return shards[key.hash % shards.size()];
+  }
+
   /// Returns the entry for `key` if present (counting a hit), else null
   /// without registering a miss — the pruning path peeks before deciding
   /// whether the evaluation is worth admitting to the cache at all.
-  std::shared_ptr<EvalEntry> peekEntry(const std::string& key) {
-    EvalShard& shard = shards[std::hash<std::string>{}(key) % shards.size()];
+  std::shared_ptr<EvalEntry> peekEntry(const EvalKey& key) {
+    EvalShard& shard = shardOf(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.map.find(key);
     if (it == shard.map.end()) return nullptr;
@@ -240,9 +379,11 @@ struct ExplorationService::Impl {
     return it->second;
   }
 
-  /// Finds or creates the entry for `key`; second element is true on a hit.
-  std::pair<std::shared_ptr<EvalEntry>, bool> evalEntry(const std::string& key) {
-    EvalShard& shard = shards[std::hash<std::string>{}(key) % shards.size()];
+  /// Finds or creates the entry for `key`, whose prefix is `prefix`; second
+  /// element is true on a hit.
+  std::pair<std::shared_ptr<EvalEntry>, bool> evalEntry(
+      const EvalKey& key, const EvalPrefixPtr& prefix) {
+    EvalShard& shard = shardOf(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
@@ -250,14 +391,14 @@ struct ExplorationService::Impl {
       return {it->second, true};
     }
     ++shard.misses;
-    auto entry = std::make_shared<EvalEntry>();
+    auto entry = std::make_shared<EvalEntry>(prefix);
     insertLocked(shard, key, entry);
     return {entry, false};
   }
 
   /// Inserts `entry` under `key` into `shard` (whose lock the caller
   /// holds), FIFO-evicting past the per-shard capacity.
-  void insertLocked(EvalShard& shard, const std::string& key,
+  void insertLocked(EvalShard& shard, const EvalKey& key,
                     std::shared_ptr<EvalEntry> entry) {
     shard.map.emplace(key, std::move(entry));
     shard.fifo.push_back(key);
@@ -287,16 +428,17 @@ struct ExplorationService::Impl {
     return evaluated;
   }
 
-  /// Installs a restored evaluation under `key` unless one is already
-  /// resident (live entries win — they are at least as fresh). Registers
-  /// neither a hit nor a miss: restored warmth shows up as hits when
-  /// queries actually touch it.
-  bool importEval(const std::string& key, const sim::PerfResult& perf,
-                  const cost::CostReport& cost) {
-    EvalShard& shard = shards[std::hash<std::string>{}(key) % shards.size()];
+  /// Installs a restored evaluation under (`prefix`, `slot`) unless one is
+  /// already resident (live entries win — they are at least as fresh).
+  /// Registers neither a hit nor a miss: restored warmth shows up as hits
+  /// when queries actually touch it.
+  bool importEval(const EvalPrefixPtr& prefix, const KeyedSlot& slot,
+                  const sim::PerfResult& perf, const cost::CostReport& cost) {
+    const EvalKey key(*prefix, slot);
+    EvalShard& shard = shardOf(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     if (shard.map.count(key) > 0) return false;
-    auto entry = std::make_shared<EvalEntry>();
+    auto entry = std::make_shared<EvalEntry>(prefix);
     std::call_once(entry->once, [&] {
       entry->perf = perf;
       entry->cost = cost;
@@ -327,11 +469,10 @@ struct ExplorationService::Impl {
     std::call_once(entry->once, [&] {
       auto space = std::make_shared<const stt::DesignSpace>(
           stt::packDesignSpace(q.algebra, q.enumeration));
-      entry->specKeys.reserve(space->size());
+      entry->slots.reserve(space->size());
       for (std::size_t i = 0; i < space->size(); ++i)
-        entry->specKeys.push_back(specKey(space->context(i)->selection,
-                                          space->letters(i),
-                                          space->matrix(i)));
+        entry->slots.push_back(keySlot(space->context(i)->selection,
+                                       space->letters(i), space->matrix(i)));
       entry->space = std::move(space);
     });
     return entry;
@@ -350,20 +491,18 @@ struct ExplorationService::Impl {
   ///      when an incumbent (the snapshot or the unit's own frontier)
   ///      strictly dominates its bound — all before any tile search;
   ///   3. forceBlock on the survivors in index order, folded into the
-  ///      unit's streaming frontier. Only frontier keepers pay for a
-  ///      DataflowSpec (DesignSpace::spec).
+  ///      unit's streaming frontier. Keepers keep their cache entry; only
+  ///      the merged frontier is analyzed into DataflowSpecs (runBatch's
+  ///      Phase 3).
   /// With pruning off, passes 1 and 2 are skipped and every slot is
-  /// evaluated. Slot i's cache key is keyPrefix + space.specKeys[i] and its
-  /// frontier order is i.
+  /// evaluated. Slot i's cache key is (the query's prefix, entry.slots[i])
+  /// and its frontier order is i; no key is rendered as a string here.
   void runBlock(UnitRun& run, const SpaceEntry& entry, std::size_t begin,
                 std::size_t end, stt::BlockMappingStore& store) {
-    const stt::DesignSpace& space = *entry.space;
-    const stt::SpecBlockSet& set = space.blocks;
+    const stt::SpecBlockSet& set = entry.space->blocks;
     UnitOut& out = run.out;
-    const auto keyOf = [&](std::size_t i) -> const std::string& {
-      run.key.assign(run.keyPrefix);
-      run.key.append(entry.specKeys[i]);
-      return run.key;
+    const auto keyOf = [&](std::size_t i) {
+      return EvalKey(*run.prefix, entry.slots[i]);
     };
     run.resident.assign(end - begin, nullptr);
     run.state.assign(end - begin, 0);
@@ -398,15 +537,14 @@ struct ExplorationService::Impl {
       if (run.state[i - begin] == 2) continue;
       std::shared_ptr<EvalEntry> eval = std::move(run.resident[i - begin]);
       bool hit = run.state[i - begin] == 1;
-      if (!eval) std::tie(eval, hit) = evalEntry(keyOf(i));
+      if (!eval) std::tie(eval, hit) = evalEntry(keyOf(i), run.prefix);
       if (forceBlock(eval, set, i, run.query.array, run.backend, store))
         ++out.evaluations;
       (hit ? out.hits : out.misses) += 1;
       run.evicted.clear();
-      if (out.frontier.insert(paretoEntryOf(eval->perf, eval->cost.figures, i,
-                                            set.labels[i]),
+      if (out.frontier.insert(paretoEntryOf(eval->perf, eval->cost.figures, i),
                               &run.evicted))
-        out.kept.emplace(i, DesignReport(space.spec(i), eval->perf, eval->cost));
+        out.kept.emplace(i, std::move(eval));
       for (std::size_t o : run.evicted) out.kept.erase(o);
     }
   }
@@ -424,13 +562,14 @@ std::vector<QueryResult> ExplorationService::runBatch(
   std::vector<QueryResult> results(n);
   if (n == 0) return results;
 
-  // Phase 1: resolve each query's backend and cache-key prefix, fetch its
-  // cached design space (packed and keyed once per (algebra, enumeration))
-  // and size a per-query mapping store: one slot per mapping class times
-  // the backend's operating-point fan-out.
+  // Phase 1: resolve each query's backend and cache-key prefix (rendered
+  // and hashed once per query), fetch its cached design space (packed and
+  // keyed once per (algebra, enumeration)) and size a per-query mapping
+  // store: one slot per mapping class times the backend's operating-point
+  // fan-out.
   struct QueryPlan {
     std::shared_ptr<const cost::CostBackend> backend;
-    std::string keyPrefix;
+    EvalPrefixPtr prefix;
     std::shared_ptr<Impl::SpaceEntry> entry;
     std::unique_ptr<stt::BlockMappingStore> store;
   };
@@ -438,7 +577,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
   parallelForOn(impl_->pool, n, [&](std::size_t i) {
     QueryPlan& plan = plans[i];
     plan.backend = makeBackend(batch[i]);
-    plan.keyPrefix = impl_->evalPrefix(batch[i], *plan.backend);
+    plan.prefix = makePrefix(impl_->evalPrefix(batch[i], *plan.backend));
     plan.entry = impl_->specEntry(batch[i]);
     plan.store = std::make_unique<stt::BlockMappingStore>(
         plan.backend->blockSlotCount(plan.entry->space->blocks));
@@ -495,8 +634,7 @@ std::vector<QueryResult> ExplorationService::runBatch(
       else if (fault->action == "exit")
         std::_Exit(static_cast<int>(fault->value));
     }
-    Impl::UnitRun run(batch[unit.query], *plan.backend, plan.keyPrefix,
-                      outs[u]);
+    Impl::UnitRun run(batch[unit.query], *plan.backend, plan.prefix, outs[u]);
     for (std::size_t b = unit.begin; b < unit.end; b += kBlockSpecs) {
       // On expiry the WHOLE untouched remainder counts as skipped, so
       // hits + misses + pruned + skipped == designs holds exactly for
@@ -522,13 +660,14 @@ std::vector<QueryResult> ExplorationService::runBatch(
   });
 
   // Phase 3: merge unit frontiers per query (unit order; the kept set is
-  // insertion-order independent, so any schedule above lands here equal).
+  // insertion-order independent, so any schedule above lands here equal)
+  // and analyze only the merged frontier into DataflowSpecs.
   // Every packed evaluation read one mapping-store slot: the batch's tile
   // searches are its mapping misses, the other evaluations its hits.
   std::uint64_t evaluations = 0, searches = 0;
   for (std::size_t i = 0; i < n; ++i) {
     ParetoFrontier frontier;
-    std::unordered_map<std::size_t, DesignReport> kept;
+    std::unordered_map<std::size_t, const EvalEntry*> kept;
     std::vector<std::size_t> pruned;
     searches += plans[i].store->searches();
     for (std::size_t u = 0; u < units.size(); ++u) {
@@ -542,12 +681,13 @@ std::vector<QueryResult> ExplorationService::runBatch(
       for (const ParetoEntry& e : out.frontier.entries()) {
         pruned.clear();
         if (frontier.insert(e, &pruned))
-          kept.emplace(e.order, std::move(out.kept.at(e.order)));
+          kept.emplace(e.order, out.kept.at(e.order).get());
         for (std::size_t o : pruned) kept.erase(o);
       }
     }
     const std::vector<ParetoEntry> ordered = frontier.sorted();
-    results[i].designs = plans[i].entry->space->size();
+    const stt::DesignSpace& space = *plans[i].entry->space;
+    results[i].designs = space.size();
     results[i].timedOut =
         deadlines[i].timedOut.load(std::memory_order_relaxed);
     const QueryCacheCounts& c = results[i].cache;
@@ -555,8 +695,11 @@ std::vector<QueryResult> ExplorationService::runBatch(
              "cache accounting broken: every design must be exactly one of "
              "hit/miss/pruned/skipped");
     results[i].frontier.reserve(ordered.size());
-    for (const ParetoEntry& e : ordered)
-      results[i].frontier.push_back(std::move(kept.at(e.order)));
+    for (const ParetoEntry& e : ordered) {
+      const EvalEntry& eval = *kept.at(e.order);
+      results[i].frontier.emplace_back(space.spec(e.order), eval.perf,
+                                       eval.cost);
+    }
     if (const auto bestIdx = pickBest(ordered, batch[i].objective))
       results[i].best = results[i].frontier[*bestIdx];
   }
@@ -617,18 +760,22 @@ bool ExplorationService::saveSnapshot(const std::string& path,
 
   // Eval cache: only entries whose evaluation completed (an in-flight
   // once_flag's values are garbage) — collected under the shard locks.
-  std::vector<std::pair<std::string, std::shared_ptr<Impl::EvalEntry>>> evals;
+  // Keys are written in their keys-v2 rendering, prefix + slot suffix.
+  std::vector<std::pair<SlotKey, std::shared_ptr<EvalEntry>>> evals;
   for (const auto& shard : impl_->shards) {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    for (const std::string& key : shard.fifo) {
+    for (const EvalKey& key : shard.fifo) {
       const auto it = shard.map.find(key);
       if (it == shard.map.end()) continue;
       if (!it->second->ready.load(std::memory_order_acquire)) continue;
-      evals.emplace_back(key, it->second);
+      evals.emplace_back(key.slot, it->second);
     }
   }
   w.u64(evals.size());
-  for (const auto& [key, entry] : evals) {
+  std::string key;
+  for (const auto& [slot, entry] : evals) {
+    key.assign(entry->prefix->text);
+    renderSlotKey(slot, key);
     w.str(key);
     snap::writePerf(w, entry->perf);
     snap::writeCost(w, entry->cost);
@@ -649,7 +796,13 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
   // live cache: a snapshot that fails mid-decode leaves the service
   // exactly as cold as it was, never half-populated.
   std::vector<stt::CandidateCacheEntry> candidateLists;
-  std::vector<std::tuple<std::string, sim::PerfResult, cost::CostReport>> evals;
+  struct RestoredEval {
+    EvalPrefixPtr prefix;
+    KeyedSlot slot;
+    sim::PerfResult perf;
+    cost::CostReport cost;
+  };
+  std::vector<RestoredEval> evals;
   try {
     snap::Reader r(*payload);
     const std::string snapshotFingerprint = r.str();
@@ -677,12 +830,28 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
       candidateLists.push_back(std::move(entry));
     }
 
+    // Each key splits at the third '|' from its end into the query prefix
+    // and the strictly parsed slot suffix; entries of one prefix share
+    // one record, as they do in a live cache.
+    std::unordered_map<std::string, EvalPrefixPtr> prefixes;
     const std::uint64_t entries = r.u64();
     for (std::uint64_t i = 0; i < entries; ++i) {
-      std::string key = r.str();
-      sim::PerfResult perf = snap::readPerf(r);
-      cost::CostReport cost = snap::readCost(r);
-      evals.emplace_back(std::move(key), perf, std::move(cost));
+      const std::string key = r.str();
+      std::size_t cut = key.size();
+      for (int bar = 0; bar < 3 && cut != std::string::npos; ++bar)
+        cut = cut == 0 ? std::string::npos : key.rfind('|', cut - 1);
+      TL_CHECK(cut != std::string::npos,
+               "snapshot evaluation key '" + key + "' has no prefix");
+      RestoredEval eval;
+      eval.slot.key = parseSlotKey(std::string_view(key).substr(cut + 1));
+      eval.slot.hash = hashSlot(eval.slot.key);
+      std::string prefix = key.substr(0, cut + 1);
+      EvalPrefixPtr& shared = prefixes[prefix];
+      if (!shared) shared = makePrefix(std::move(prefix));
+      eval.prefix = shared;
+      eval.perf = snap::readPerf(r);
+      eval.cost = snap::readCost(r);
+      evals.push_back(std::move(eval));
     }
 
     TL_CHECK(r.done(), "snapshot payload has trailing bytes");
@@ -696,8 +865,9 @@ snapshot::RestoreResult ExplorationService::restoreSnapshot(
   }
 
   result.candidateLists = stt::importCandidateCache(candidateLists);
-  for (const auto& [key, perf, cost] : evals)
-    if (impl_->importEval(key, perf, cost)) ++result.evalEntries;
+  for (const RestoredEval& eval : evals)
+    if (impl_->importEval(eval.prefix, eval.slot, eval.perf, eval.cost))
+      ++result.evalEntries;
   result.status = snap::RestoreStatus::Restored;
   return result;
 }

@@ -12,6 +12,10 @@
 //     by canonical (algebra, array, cost-backend, spec). Overlapping
 //     queries — same GEMM at different objectives, array sweeps that share
 //     the algebra, duplicate user queries — pay for each design point once.
+//     A key is resolved once per query (the "algebra|array|backend|" prefix,
+//     rendered and hashed into a record the entries share) and once per
+//     design space (each slot's fixed-size loop indices, letters and signed
+//     matrix with their hash), so pricing a slot builds no string.
 //     Design spaces are cached the same way: each (algebra, enumeration)
 //     is packed once by stt::packDesignSpace as the uncut evaluation-class
 //     quotient, which every array, backend and objective shares (a cut
@@ -22,8 +26,8 @@
 //     the same three passes: cache peek, packed lower bounds with dominance
 //     cuts, packed evaluation of the survivors (one tile search per mapping
 //     class, held by the query's stt::BlockMappingStore — the service's
-//     only tile-search memo). Only frontier keepers are analyzed into a
-//     DataflowSpec. Session::compileBest and every tool explore through
+//     only tile-search memo). Only the merged frontier is analyzed into
+//     DataflowSpecs. Session::compileBest and every tool explore through
 //     this path.
 //   * Incremental Pareto streaming: run()/runBatch() fold every evaluated
 //     point into a (cycles, power, area) ParetoFrontier on the fly and keep

@@ -86,7 +86,7 @@ void composeOneArray(const NetworkQuery& query, std::size_t arrayIndex,
         cost.area = std::max(partial.cost.area, figures.area);
         const std::size_t nextOrder = order * frontier.size() + j;
         evicted.clear();
-        if (!next.insert({cost, nextOrder, {}}, &evicted)) continue;
+        if (!next.insert({cost, nextOrder}, &evicted)) continue;
         Partial extended;
         extended.cost = cost;
         extended.picks = partial.picks;
@@ -215,7 +215,7 @@ NetworkResult composeLayerFrontiers(
   std::vector<ParetoEntry> entries;
   entries.reserve(result.frontier.size());
   for (std::size_t i = 0; i < result.frontier.size(); ++i)
-    entries.push_back({result.frontier[i].cost, i, {}});
+    entries.push_back({result.frontier[i].cost, i});
   if (const auto best = pickBest(entries, query.objective))
     result.best = result.frontier[*best];
   return result;

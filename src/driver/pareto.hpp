@@ -44,7 +44,6 @@ struct ParetoCost {
 struct ParetoEntry {
   ParetoCost cost;
   std::size_t order = 0;  ///< global enumeration index — the canonical tie-break
-  std::string label;
 };
 
 /// True iff every cost dimension is finite (NaN and ±inf never enter a

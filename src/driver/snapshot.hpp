@@ -69,9 +69,11 @@ struct RestoreResult {
 };
 
 /// The compatibility fingerprint embedded in every snapshot: the name of
-/// the cache-key schema. Cache keys are opaque strings produced by the
-/// running binary, so a snapshot is only trustworthy under the same key
-/// schema; anything else must cold-start. Enumeration defaults are not part
+/// the cache-key schema. Evaluation keys are stored as the schema's string
+/// rendering, and restore parses each one strictly back into the cache's
+/// fixed-size form (a malformed key makes the file Corrupt), so a snapshot
+/// is only trustworthy under the same key schema; anything else must
+/// cold-start. Enumeration defaults are not part
 /// of it: an evaluation key already names the algebra, array, backend,
 /// selection and transform, so no default can make a restored entry wrong.
 std::string cacheSchemaFingerprint();

@@ -157,9 +157,16 @@ TEST(ServiceCache, RepeatQueryIsAllHits) {
   EXPECT_EQ(second.cache.misses, 0u);
   EXPECT_EQ(second.cache.hits, second.designs);
 
+  // Every query renders its own key-prefix record, so an equal query built
+  // again from scratch matches the resident entries by prefix text, not by
+  // record identity.
+  const auto rebuilt = service.run(gemmQuery());
+  EXPECT_EQ(rebuilt.cache.misses, 0u);
+  EXPECT_EQ(rebuilt.cache.hits, rebuilt.designs);
+
   const auto stats = service.cacheStats();
   EXPECT_EQ(stats.entries, first.designs);
-  EXPECT_EQ(stats.hits, first.designs);
+  EXPECT_EQ(stats.hits, 2 * first.designs);
   EXPECT_EQ(stats.shards, ServiceOptions{}.shardCount);
 }
 
@@ -188,15 +195,17 @@ TEST(ServiceCache, SameInitialLoopsDoNotCollideInCache) {
   // must still tell them apart (it carries the selected loop indices) or
   // one selection hits the other's cached perf/cost: a cold unpruned run
   // must miss on every design and keep one entry per design.
-  tensor::TensorAlgebra algebra(
-      "TwoK", {{"m", 4}, {"n", 4}, {"ka", 4}, {"kb", 8}},
-      {"C", tensor::accessFromTerms(4, {{0}, {1}})},
-      {{"A", tensor::accessFromTerms(4, {{0}, {2}, {3}})},
-       {"B", tensor::accessFromTerms(4, {{1}, {2}, {3}})}});
+  const auto twoK = [](std::int64_t kb) {
+    return tensor::TensorAlgebra(
+        "TwoK", {{"m", 4}, {"n", 4}, {"ka", 4}, {"kb", kb}},
+        {"C", tensor::accessFromTerms(4, {{0}, {1}})},
+        {{"A", tensor::accessFromTerms(4, {{0}, {2}, {3}})},
+         {"B", tensor::accessFromTerms(4, {{1}, {2}, {3}})}});
+  };
   stt::ArrayConfig array;
   array.rows = array.cols = 4;
 
-  ExploreQuery q(algebra);
+  ExploreQuery q(twoK(8));
   q.array = array;
   ExplorationService service(accountingOptions(1));
   const auto cold = service.run(q);
@@ -204,6 +213,14 @@ TEST(ServiceCache, SameInitialLoopsDoNotCollideInCache) {
   EXPECT_EQ(cold.cache.misses, cold.designs);
   EXPECT_EQ(service.cacheStats().entries, cold.designs);
   expectSameResult(cold, service.run(q));  // warm: all hits
+
+  // The algebra part of the key: the same contraction with one loop
+  // extent changed shares every slot key but none of the evaluations.
+  ExploreQuery longer(twoK(16));
+  longer.array = array;
+  const auto other = service.run(longer);
+  EXPECT_EQ(other.cache.hits, 0u);
+  EXPECT_EQ(other.cache.misses, other.designs);
 }
 
 TEST(ServiceCache, ClearCacheRestoresMisses) {
@@ -260,6 +277,16 @@ TEST(ServiceBackends, AsicAndFpgaEvaluationsAreCachedSeparately) {
   EXPECT_EQ(asic.cache.misses, asic.designs);
   EXPECT_EQ(fpga.cache.misses, fpga.designs);  // no cross-backend hits
   EXPECT_EQ(service.cacheStats().entries, asic.designs + fpga.designs);
+
+  // The array part of the key: the same algebra and backend on 8x8 and
+  // then on 16x16 share no evaluation.
+  for (const std::int64_t side : {8, 16}) {
+    ExploreQuery q = gemmQuery();
+    q.array.rows = q.array.cols = side;
+    const auto result = service.run(q);
+    EXPECT_EQ(result.cache.hits, 0u) << side;
+    EXPECT_EQ(result.cache.misses, result.designs) << side;
+  }
 }
 
 // --- frontier semantics -----------------------------------------------------

@@ -17,7 +17,6 @@ ParetoEntry entry(double cycles, double power, double area, std::size_t order,
   ParetoEntry e;
   e.cost = {cycles, power, area, util};
   e.order = order;
-  e.label = "p" + std::to_string(order);
   return e;
 }
 

@@ -33,7 +33,6 @@ inline QueryResult referenceResult(const ExploreQuery& query) {
     e.cost.area = all[i].figures().area;
     e.cost.utilization = all[i].perf.utilization;
     e.order = i;
-    e.label = all[i].spec.label();
     frontier.insert(e);
   }
   QueryResult result;

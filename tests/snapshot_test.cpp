@@ -146,6 +146,73 @@ TEST_F(SnapshotTest, EvaluationKeysKeepTheKeysV2Rendering) {
   }
 }
 
+TEST_F(SnapshotTest, RestoredKeysSaveBackByteIdentically) {
+  // Every slot of an unpruned, unquotiented maxEntry-2 mttkrp space (four
+  // tensors, entries reaching -2 and 2) lands in the table. A restore parses
+  // each key back into its cache form; saving that again must reproduce the
+  // evaluation section, and with the same candidate memo the whole file.
+  ServiceOptions options;
+  options.threads = 1;
+  options.enablePruning = false;
+  ExploreQuery q(wl::mttkrp(4, 4, 4, 4));
+  q.array.rows = q.array.cols = 4;
+  q.enumeration.maxEntry = 2;
+  q.enumeration.dedupeBySignature = false;
+  std::size_t designs = 0;
+  {
+    ExplorationService service(options);
+    designs = service.run(q).designs;
+    ASSERT_EQ(service.cacheStats().entries, designs);
+    ASSERT_TRUE(service.saveSnapshot(path_, fingerprint_));
+  }
+  const std::string first = readFile();
+  ASSERT_NE(first.find("-2"), std::string::npos);
+
+  stt::clearCandidateCache();
+  ExplorationService restored(options);
+  const auto result = restored.restoreSnapshot(path_, fingerprint_);
+  ASSERT_TRUE(result.restored()) << result.message;
+  EXPECT_EQ(result.evalEntries, designs);
+  ASSERT_TRUE(restored.saveSnapshot(path_, fingerprint_));
+  EXPECT_TRUE(readFile() == first) << "re-saved snapshot differs";
+}
+
+TEST_F(SnapshotTest, MalformedEvaluationKeyIsCorrupt) {
+  // A checksummed payload carrying one evaluation under `key`.
+  const auto writeWithKey = [&](const std::string& key) {
+    snap::Writer w;
+    w.str(fingerprint_);
+    w.u64(0);  // no candidate lists
+    w.u64(1);
+    w.str(key);
+    snap::writePerf(w, sim::PerfResult{});
+    snap::writeCost(w, cost::CostReport{});
+    ASSERT_TRUE(snap::writeSnapshotFile(path_, w.takeBuffer()));
+  };
+  writeWithKey("p|0.1.2.|SST|[1 0 0; 0 1 0; 0 0 -1]");
+  {
+    ExplorationService service;
+    const auto result = service.restoreSnapshot(path_, fingerprint_);
+    ASSERT_TRUE(result.restored()) << result.message;
+    EXPECT_EQ(result.evalEntries, 1u);
+  }
+  for (const std::string key : {
+           "p|0.1.2.|SST[1 0 0; 0 1 0; 0 0 -1]",      // a missing '|'
+           "p|0.1.2.|SST|[1 0 x; 0 1 0; 0 0 -1]",     // a non-numeric entry
+           "p|0.1.2.|SST|[1 0 0; 0 1 0; 0 0 -1 0]",   // ten matrix entries
+           "p|0.1.2.|SST|[1 0 0; 0 1 0; 0 0 -1]x",    // trailing bytes
+           "0.1.2.|SST|[1 0 0; 0 1 0; 0 0 -1]",       // no prefix
+           "p|0.1.02.|SST|[1 0 0; 0 1 0; 0 0 -1]",    // a leading zero
+       }) {
+    writeWithKey(key);
+    ExplorationService service;
+    const auto result = service.restoreSnapshot(path_, fingerprint_);
+    EXPECT_EQ(result.status, snap::RestoreStatus::Corrupt) << key;
+    EXPECT_EQ(result.evalEntries, 0u) << key;
+    EXPECT_EQ(service.cacheStats().entries, 0u) << key;
+  }
+}
+
 TEST_F(SnapshotTest, MissingFileIsCleanColdStart) {
   ExplorationService service;
   const auto result = service.restoreSnapshot(path_, fingerprint_);
