@@ -27,13 +27,21 @@ extern "C" {
 namespace tensorlib::driver {
 
 struct SocketServer::Impl {
-  /// One accepted connection. The reader thread parses and dispatches
-  /// request lines; the writer thread drains the bounded outgoing queue so
-  /// a slow peer blocks only its own writer, never a daemon callback. The
-  /// fd is closed only at reap/close time (after both threads exited), so
-  /// no thread ever races a reused descriptor.
+  /// One connection: an accepted socket, or the attached stream. The
+  /// reader thread parses and dispatches request lines; the writer thread
+  /// drains the bounded outgoing queue so a slow peer blocks only its own
+  /// writer, never a daemon callback. Fds are closed only at reap/close
+  /// time (after both threads exited), so no thread ever races a reused
+  /// descriptor.
   struct Connection {
-    int fd = -1;
+    int readFd = -1;
+    int writeFd = -1;  ///< == readFd on a socket
+    /// The attached stream (attach()), the server's controlling
+    /// connection. Its fds belong to the caller. shutdown(2) cannot wake a
+    /// read on a pipe, so its reader also polls wakeFds[0], and
+    /// stopReading() closes wakeFds[1].
+    bool attached = false;
+    int wakeFds[2] = {-1, -1};
     std::uint64_t id = 0;
     std::string clientId;
 
@@ -66,7 +74,7 @@ struct SocketServer::Impl {
     }
     if (options.port >= 0) {
       tcpFd = support::net::listenTcp(options.bindAddress, options.port,
-                                      options.backlog, &boundPort);
+                                      kListenBacklog, &boundPort);
       if (tcpFd < 0) {
         lastError = "cannot listen on " + options.bindAddress + ":" +
                     std::to_string(options.port);
@@ -74,7 +82,7 @@ struct SocketServer::Impl {
       }
     }
     if (!options.unixSocketPath.empty()) {
-      unixFd = support::net::listenUnix(options.unixSocketPath, options.backlog);
+      unixFd = support::net::listenUnix(options.unixSocketPath, kListenBacklog);
       if (unixFd < 0) {
         lastError = "cannot listen on unix socket " + options.unixSocketPath;
         if (tcpFd >= 0) {
@@ -115,8 +123,16 @@ struct SocketServer::Impl {
     if (options.sendBufferBytes > 0)
       (void)setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options.sendBufferBytes,
                        sizeof(options.sendBufferBytes));
+    addConnection(fd, fd, /*attached=*/false);
+  }
+
+  void addConnection(int readFd, int writeFd, bool attached) {
     auto conn = std::make_shared<Connection>();
-    conn->fd = fd;
+    conn->readFd = readFd;
+    conn->writeFd = writeFd;
+    conn->attached = attached;
+    if (attached && ::pipe(conn->wakeFds) != 0)
+      fail("cannot create a wake pipe");
     {
       std::lock_guard<std::mutex> lock(mutex);
       conn->id = nextConnId++;
@@ -131,29 +147,42 @@ struct SocketServer::Impl {
   // ---- per-connection reader ----------------------------------------------
 
   void readerLoop(const std::shared_ptr<Connection>& conn) {
-    support::net::LineReader reader(conn->fd);
+    support::net::LineReader reader(conn->readFd, conn->wakeFds[0]);
+    bool drop = false;
     while (!stopping.load() && conn->alive.load()) {
       const auto line = reader.next();
-      if (!line) break;
-      if (!line->complete) {
-        // The peer died (or was dropped) mid-line. A truncated request
-        // must never be executed — half a query is not a smaller query.
-        std::lock_guard<std::mutex> lock(mutex);
-        ++stats.truncatedLines;
+      if (!line || !line->complete) {
+        if (line) {
+          // The peer died (or was dropped) mid-line. A truncated request
+          // must never be executed — half a query is not a smaller query.
+          std::lock_guard<std::mutex> lock(mutex);
+          ++stats.truncatedLines;
+        }
+        // EOF on the controlling stream asks for shutdown, so its admitted
+        // work completes and is answered; on a socket it is a drop.
+        if (conn->attached) {
+          requestShutdown(conn);
+        } else {
+          drop = true;
+        }
         break;
       }
-      if (line->text.size() > options.maxLineBytes) break;
+      if (line->text.size() > options.maxLineBytes) {
+        drop = true;
+        break;
+      }
       if (line->text.find_first_not_of(" \t\r") == std::string::npos) continue;
-      handleLine(conn, line->text);
+      if (!handleLine(conn, line->text)) break;
     }
-    // A disconnect observed during normal operation cancels the
-    // connection's queued daemon work; during drain/close the EOF is ours
-    // (SHUT_RD) and accepted work must complete instead.
-    if (!stopping.load()) disconnect(conn, /*slowReader=*/false);
+    // During drain/close the EOF is ours (stopReading) and accepted work
+    // must complete instead.
+    if (drop && !stopping.load()) disconnect(conn, /*slowReader=*/false);
     conn->readerDone.store(true);
   }
 
-  void handleLine(const std::shared_ptr<Connection>& conn,
+  /// Dispatches one request line. False after the connection's own
+  /// shutdown request: it reads no further lines.
+  bool handleLine(const std::shared_ptr<Connection>& conn,
                   const std::string& text) {
     std::size_t id;
     {
@@ -164,76 +193,48 @@ struct SocketServer::Impl {
       const auto obj = support::parseJsonLine(text);
       wire::Request request = wire::parseRequest(obj);
       switch (request.kind) {
-        case wire::Request::Kind::Shutdown: {
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            if (!shutdownRequested) {
-              shutdownRequested = true;
-              shutdownRequester = conn;
-            }
-          }
-          shutdownCv.notify_all();
-          return;
-        }
-        case wire::Request::Kind::CacheStats: {
+        case wire::Request::Kind::Shutdown:
+          requestShutdown(conn);
+          return false;
+        case wire::Request::Kind::CacheStats:
           emitTo(conn, "{\"query\": " + std::to_string(id) +
                            ", \"cache\": " +
                            wire::cacheStatsJson(daemon.service().cacheStats()) +
                            "}");
-          return;
-        }
-        case wire::Request::Kind::Network: {
-          // Synchronous on this connection's reader (the explorer fans out
-          // through the shared service itself); other connections keep
-          // their own readers. Counted as pending so drain() waits for it.
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++stats.requests;
-            ++pendingTotal;
-          }
-          try {
-            NetworkExplorer explorer(daemon.service());
-            const auto result = explorer.explore(*request.network);
-            emitTo(conn, wire::networkResultLine(id, request.name,
-                                                 *request.network, result,
-                                                 options.maxFrontier));
-          } catch (...) {
-            finishPending();
-            throw;
-          }
-          finishPending();
-          return;
-        }
+          return true;
+        case wire::Request::Kind::Network:
         case wire::Request::Kind::ModelConformance: {
-          // Synchronous on this reader, like Network — but the oracle owns
-          // its own ExplorationService (verdicts must not depend on this
-          // daemon's warm caches). Counted as pending so drain() waits.
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++stats.requests;
-            ++pendingTotal;
-          }
+          // Synchronous on this connection's reader; other connections keep
+          // their own readers. A network request fans out through the
+          // shared service itself; the model oracle owns its own
+          // ExplorationService (verdicts must not depend on this daemon's
+          // warm caches). Counted as pending so the drain waits for it.
+          beginPending();
+          std::string response;
           try {
-            const auto report =
-                verify::checkModel(*request.model, request.modelOptions);
-            emitTo(conn, wire::modelConformanceResultLine(id, report));
+            if (request.kind == wire::Request::Kind::Network) {
+              NetworkExplorer explorer(daemon.service());
+              response = wire::networkResultLine(
+                  id, request.name, *request.network,
+                  explorer.explore(*request.network), options.maxFrontier);
+            } else {
+              response = wire::modelConformanceResultLine(
+                  id, verify::checkModel(*request.model, request.modelOptions));
+            }
           } catch (...) {
             finishPending();
             throw;
           }
+          emitTo(conn, response);
           finishPending();
-          return;
+          return true;
         }
         case wire::Request::Kind::Query: {
           const std::string workload = request.name;
           const std::string backend =
               cost::backendKindName(request.query->backend);
           const std::string objective = objectiveName(request.query->objective);
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            ++stats.requests;
-            ++pendingTotal;
-          }
+          beginPending();
           const auto admission = daemon.submit(
               conn->clientId, std::move(*request.query),
               [this, conn, id, workload, backend,
@@ -252,7 +253,7 @@ struct SocketServer::Impl {
             finishPending();
             emitTo(conn, wire::errorLine(id, admissionName(admission)));
           }
-          return;
+          return true;
         }
       }
     } catch (const std::exception& e) {
@@ -262,15 +263,39 @@ struct SocketServer::Impl {
       }
       emitTo(conn, wire::errorLine(id, e.what()));
     }
+    return true;
+  }
+
+  /// The first request wins: its connection receives the summary.
+  void requestShutdown(const std::shared_ptr<Connection>& conn) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (!shutdownRequested) {
+        shutdownRequested = true;
+        shutdownRequester = conn;
+      }
+    }
+    shutdownCv.notify_all();
+  }
+
+  void beginPending() {
+    std::lock_guard<std::mutex> lock(mutex);
+    ++stats.requests;
+    ++pendingTotal;
   }
 
   /// Last statement of every pending unit of work. Notifies under the lock
-  /// so a drain()/close() waiter cannot destroy the condition variable
+  /// so a drain/close waiter cannot destroy the condition variable
   /// between our decrement and the notify.
   void finishPending() {
     std::lock_guard<std::mutex> lock(mutex);
     --pendingTotal;
     pendingCv.notify_all();
+  }
+
+  void waitIdle() {
+    std::unique_lock<std::mutex> lock(mutex);
+    pendingCv.wait(lock, [this] { return pendingTotal == 0; });
   }
 
   // ---- per-connection writer ----------------------------------------------
@@ -292,7 +317,8 @@ struct SocketServer::Impl {
         conn->writing = true;
       }
       line += '\n';
-      const bool ok = support::net::sendAll(conn->fd, line.data(), line.size());
+      const bool ok =
+          support::net::sendAll(conn->writeFd, line.data(), line.size());
       {
         std::lock_guard<std::mutex> lock(conn->mutex);
         conn->writing = false;
@@ -335,9 +361,30 @@ struct SocketServer::Impl {
 
   // ---- drop / drain / close -----------------------------------------------
 
+  /// Makes the connection's reader see EOF.
+  void stopReading(Connection& conn) {
+    if (!conn.attached) {
+      ::shutdown(conn.readFd, SHUT_RD);
+      return;
+    }
+    std::lock_guard<std::mutex> lock(conn.mutex);
+    if (conn.wakeFds[1] >= 0) {
+      ::close(conn.wakeFds[1]);
+      conn.wakeFds[1] = -1;
+    }
+  }
+
+  /// Stops both directions: the reader sees EOF, and a mid-send socket
+  /// writer fails instead of blocking.
+  void hangUp(Connection& conn) {
+    stopReading(conn);
+    ::shutdown(conn.writeFd, SHUT_WR);
+  }
+
   /// Idempotent connection drop: stop both directions, clear the unsent
   /// queue, cancel the connection's queued daemon work. The in-flight
   /// request (if any) completes and its response is discarded by emitTo.
+  /// Dropping the controlling stream also requests shutdown.
   void disconnect(const std::shared_ptr<Connection>& conn, bool slowReader) {
     {
       std::lock_guard<std::mutex> lock(conn->mutex);
@@ -347,7 +394,7 @@ struct SocketServer::Impl {
       conn->writeQueue.clear();
     }
     conn->writeCv.notify_all();
-    ::shutdown(conn->fd, SHUT_RDWR);  // unblocks a reader or mid-send writer
+    hangUp(*conn);
     const std::size_t cancelled = daemon.cancelClient(conn->clientId);
     {
       std::lock_guard<std::mutex> lock(mutex);
@@ -358,6 +405,7 @@ struct SocketServer::Impl {
       }
       stats.cancelledOnDrop += cancelled;
     }
+    if (conn->attached) requestShutdown(conn);
   }
 
   std::vector<std::shared_ptr<Connection>> snapshotConnections() {
@@ -371,8 +419,18 @@ struct SocketServer::Impl {
     return out;
   }
 
-  /// Joins and erases connections whose threads both exited (periodic, from
-  /// the accept loop) so a long-lived server does not accumulate dead ones.
+  /// Joins both threads, then closes the fds the server owns: an accepted
+  /// socket, or the attached stream's wake pipe (never the stream itself).
+  static void release(Connection& conn) {
+    if (conn.reader.joinable()) conn.reader.join();
+    if (conn.writer.joinable()) conn.writer.join();
+    if (!conn.attached) ::close(conn.readFd);
+    for (const int fd : conn.wakeFds)
+      if (fd >= 0) ::close(fd);
+  }
+
+  /// Releases connections whose threads both exited (periodic, from the
+  /// accept loop) so a long-lived server does not accumulate dead ones.
   void reapDead() {
     std::vector<std::shared_ptr<Connection>> dead;
     {
@@ -386,16 +444,11 @@ struct SocketServer::Impl {
         }
       }
     }
-    for (const auto& conn : dead) {
-      if (conn->reader.joinable()) conn->reader.join();
-      if (conn->writer.joinable()) conn->writer.join();
-      ::close(conn->fd);
-    }
+    for (const auto& conn : dead) release(*conn);
   }
 
   void stopAccepting() {
     stopping.store(true);
-    shutdownCv.notify_all();
     if (acceptThread.joinable()) acceptThread.join();
     if (tcpFd >= 0) {
       ::close(tcpFd);
@@ -421,21 +474,19 @@ struct SocketServer::Impl {
     if (!flushed) disconnect(conn, /*slowReader=*/true);
   }
 
-  void drain() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (drained) return;
-      drained = true;
-    }
-    stopAccepting();
-    const auto conns = snapshotConnections();
-    // Stop reads everywhere; accepted work keeps running to completion.
-    for (const auto& conn : conns) ::shutdown(conn->fd, SHUT_RD);
+  void serveUntilShutdown() {
     {
       std::unique_lock<std::mutex> lock(mutex);
-      pendingCv.wait(lock, [this] { return pendingTotal == 0; });
+      shutdownCv.wait(lock, [this] { return shutdownRequested; });
     }
-    for (const auto& conn : conns) flushConnection(conn);
+    // Drain: stop accepting and reading everywhere; every admitted request
+    // completes and queues its response.
+    stopAccepting();
+    for (const auto& conn : snapshotConnections()) stopReading(*conn);
+    waitIdle();
+    daemon.shutdown();  // joins the workers, writes the final snapshot
+    closeAll(wire::shutdownSummaryLine(daemon.stats(),
+                                       daemon.service().cacheStats()));
   }
 
   void closeAll(const std::string& finalLine) {
@@ -444,27 +495,18 @@ struct SocketServer::Impl {
       if (closed) return;
       closed = true;
     }
-    bool wasDrained;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      wasDrained = drained;
-    }
     stopAccepting();
     const auto conns = snapshotConnections();
-    for (const auto& conn : conns) ::shutdown(conn->fd, SHUT_RD);
-    if (!wasDrained) {
-      // Abort path (no prior drain): queued work is pointless, cancel it
-      // so the pending wait below is bounded by in-flight requests only.
-      for (const auto& conn : conns) {
-        const std::size_t cancelled = daemon.cancelClient(conn->clientId);
-        std::lock_guard<std::mutex> lock(mutex);
-        stats.cancelledOnDrop += cancelled;
-      }
+    for (const auto& conn : conns) {
+      stopReading(*conn);
+      // Queued work is pointless once the server closes (after a drain
+      // there is none), so the pending wait below is bounded by in-flight
+      // requests only.
+      const std::size_t cancelled = daemon.cancelClient(conn->clientId);
+      std::lock_guard<std::mutex> lock(mutex);
+      stats.cancelledOnDrop += cancelled;
     }
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      pendingCv.wait(lock, [this] { return pendingTotal == 0; });
-    }
+    waitIdle();
     if (!finalLine.empty()) {
       std::shared_ptr<Connection> requester;
       {
@@ -480,31 +522,14 @@ struct SocketServer::Impl {
         conn->writerExit = true;
       }
       conn->writeCv.notify_all();
-      ::shutdown(conn->fd, SHUT_RDWR);
+      hangUp(*conn);
     }
-    for (const auto& conn : conns) {
-      if (conn->reader.joinable()) conn->reader.join();
-      if (conn->writer.joinable()) conn->writer.join();
-      ::close(conn->fd);
-    }
+    for (const auto& conn : conns) release(*conn);
     {
       std::lock_guard<std::mutex> lock(mutex);
       connections.clear();
       shutdownRequester.reset();
     }
-  }
-
-  void waitForShutdownRequest() {
-    std::unique_lock<std::mutex> lock(mutex);
-    shutdownCv.wait(lock, [this] { return shutdownRequested || stopping.load(); });
-  }
-
-  void shutdownNow() {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      shutdownRequested = true;
-    }
-    shutdownCv.notify_all();
   }
 
   SocketServerStats statsNow() const {
@@ -517,6 +542,8 @@ struct SocketServer::Impl {
     }
     return copy;
   }
+
+  static constexpr int kListenBacklog = 64;
 
   ExplorationDaemon& daemon;
   SocketServerOptions options;
@@ -535,7 +562,6 @@ struct SocketServer::Impl {
   std::uint64_t nextConnId = 0;
   std::size_t pendingTotal = 0;
   bool shutdownRequested = false;
-  bool drained = false;
   bool closed = false;
   std::atomic<bool> stopping{false};
   SocketServerStats stats;
@@ -549,15 +575,15 @@ SocketServer::~SocketServer() = default;
 
 bool SocketServer::start() { return impl_->start(); }
 
+void SocketServer::attach(int readFd, int writeFd) {
+  impl_->addConnection(readFd, writeFd, /*attached=*/true);
+}
+
 int SocketServer::port() const { return impl_->boundPort; }
 
 const std::string& SocketServer::lastError() const { return impl_->lastError; }
 
-void SocketServer::waitForShutdownRequest() { impl_->waitForShutdownRequest(); }
-
-void SocketServer::shutdownNow() { impl_->shutdownNow(); }
-
-void SocketServer::drain() { impl_->drain(); }
+void SocketServer::serveUntilShutdown() { impl_->serveUntilShutdown(); }
 
 void SocketServer::close(const std::string& finalLine) {
   impl_->closeAll(finalLine);

@@ -250,7 +250,6 @@ Request parseRequest(const support::JsonObject& obj) {
     request.kind = Request::Kind::CacheStats;
     return request;
   }
-  request.client = obj.getString("client").value_or("default");
   if (obj.has("model_conformance")) {
     parseModelConformance(obj, &request);
     return request;

@@ -1,11 +1,11 @@
 // Wire protocol for the exploration servers: one flat JSON object per
 // line in each direction (docs/PROTOCOL.md is the full schema).
 //
-// This is the single codec behind every transport — the batch CLI, the
-// stdio --serve loop, and the TCP/unix-socket front-end
-// (driver/socket_server.*) all parse requests and format responses through
-// these functions, which is what makes "socket responses are bit-identical
-// to stdio responses" true by construction rather than by test alone.
+// This is the single codec behind every transport — the batch CLI and the
+// one serve loop (driver/socket_server.*, which serves TCP, unix-domain
+// sockets and stdin/stdout as connections alike) parse requests and format
+// responses through these functions, so responses are bit-identical across
+// transports by construction rather than by test alone.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +39,7 @@ struct Request {
   /// ModelConformance knobs (array/data_seed/threads/data_width; the
   /// oracle owns its own ExplorationService, isolated from the server's).
   verify::ModelConformanceOptions modelOptions;
-  std::string name;    ///< workload or model name, echoed in the response
-  std::string client;  ///< admission-fairness identity ("client" field)
+  std::string name;  ///< workload or model name, echoed in the response
 };
 
 /// The most threads one request field or CLI flag may ask for (the

@@ -3,10 +3,13 @@
 #include <cerrno>
 #include <cstring>
 
+#include "support/error.hpp"
+
 extern "C" {
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -32,6 +35,23 @@ bool fillUnix(const std::string& path, sockaddr_un* addr) {
 }
 
 }  // namespace
+
+std::string checkEndpoint(const char* flag, const std::string& value,
+                          EndpointKind kind) {
+  if (kind == EndpointKind::TcpHost) {
+    sockaddr_in addr;
+    if (!fillIpv4(value, 0, &addr))
+      fail(std::string(flag) + " needs a numeric IPv4 address, got '" +
+           value + "'");
+  } else {
+    sockaddr_un addr;
+    if (!fillUnix(value, &addr))
+      fail(std::string(flag) + " needs a non-empty path of at most " +
+           std::to_string(sizeof(addr.sun_path) - 1) + " bytes, got " +
+           std::to_string(value.size()) + " bytes");
+  }
+  return value;
+}
 
 int connectTcp(const std::string& host, int port) {
   sockaddr_in addr;
@@ -147,6 +167,14 @@ std::optional<Line> LineReader::next() {
       Line line{std::move(buffer_), false};
       buffer_.clear();
       return line;
+    }
+    if (wakeFd_ >= 0) {
+      pollfd fds[2] = {{fd_, POLLIN, 0}, {wakeFd_, POLLIN, 0}};
+      if (poll(fds, 2, -1) < 0 && errno == EINTR) continue;
+      if (fds[1].revents != 0) {
+        eof_ = true;
+        continue;
+      }
     }
     char chunk[4096];
     const ssize_t n = read(fd_, chunk, sizeof(chunk));

@@ -1,9 +1,9 @@
-// Raw-fd networking helpers shared by the socket front-end
-// (driver/socket_server.*) and the socket transport of
-// driver::ExploreClient.
+// Raw-fd networking helpers shared by the serve loop
+// (driver/socket_server.*, which reads sockets and the attached
+// stdin/stdout alike) and both transports of driver::ExploreClient.
 //
 // Everything here works on plain file descriptors and owns the two fiddly
-// parts of a line protocol over sockets that stdio used to hide:
+// parts of a line protocol over a raw fd:
 //
 //   * EINTR / short I/O: sendAll() retries interrupted and partial writes;
 //     LineReader retries interrupted reads and reassembles lines across
@@ -23,6 +23,15 @@
 #include <string>
 
 namespace tensorlib::support::net {
+
+enum class EndpointKind { TcpHost, UnixPath };
+
+/// Checks an endpoint flag value where it is parsed, so a malformed one is
+/// a usage error, not a failed bind or connect later: a TCP host must be a
+/// numeric IPv4 address, a unix-domain path non-empty and short enough for
+/// sockaddr_un. Returns `value`; throws Error naming `flag` otherwise.
+std::string checkEndpoint(const char* flag, const std::string& value,
+                          EndpointKind kind);
 
 /// Connects a blocking TCP socket to a numeric IPv4 address. Returns the
 /// fd, or -1 (the reason is in errno).
@@ -55,7 +64,10 @@ struct Line {
 /// and lines split across reads; does not own or close the fd.
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  /// `wakeFd`, when >= 0, is polled beside `fd`: once it is readable or
+  /// hung up (its pipe's write end closed), the stream reads as EOF. That
+  /// wakes a read blocked on a pipe, which shutdown(2) cannot.
+  explicit LineReader(int fd, int wakeFd = -1) : fd_(fd), wakeFd_(wakeFd) {}
 
   /// Next line (without its '\n'). nullopt on clean EOF or on an error
   /// with nothing buffered; a trailing unterminated line comes back once
@@ -64,6 +76,7 @@ class LineReader {
 
  private:
   int fd_;
+  int wakeFd_;
   std::string buffer_;
   bool eof_ = false;
 };

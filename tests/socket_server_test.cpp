@@ -1,14 +1,18 @@
-// Tests for the socket front-end (driver/socket_server.*): concurrent
+// Tests for the serve loop (driver/socket_server.*): concurrent
 // connections with per-connection fairness, bit-identical answers vs the
 // in-process reference daemon, deadline expiry over the wire, disconnect
-// cancellation, slow-reader eviction, truncated-request rejection, and the
-// shutdown drain that delivers the summary to the requesting connection.
+// cancellation, slow-reader eviction, truncated-request rejection, the
+// shutdown drain that delivers the summary to the requesting connection,
+// and the attached stdin/stdout stream (EOF, shutdown line, closed
+// output, oversized line) driven over two pipes.
 #include "driver/socket_server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <functional>
 #include <iterator>
@@ -72,6 +76,41 @@ std::vector<std::string> referenceLines(std::size_t maxFrontier) {
   return lines;
 }
 
+/// Two pipes standing in for the stdin/stdout of `explore_server --serve`.
+/// Declared before the Fixture: the server must close before its fds do.
+struct Pipes {
+  int in[2] = {-1, -1};   ///< the test writes in[1]; the server reads in[0]
+  int out[2] = {-1, -1};  ///< the server writes out[1]; the test reads out[0]
+
+  Pipes() {
+    EXPECT_EQ(pipe(in), 0);
+    EXPECT_EQ(pipe(out), 0);
+  }
+  ~Pipes() {
+    for (int* fd : {&in[0], &in[1], &out[0], &out[1]}) closeFd(*fd);
+  }
+
+  static void closeFd(int& fd) {
+    if (fd >= 0) close(fd);
+    fd = -1;
+  }
+
+  bool send(const std::string& text) {
+    return support::net::sendAll(in[1], text.data(), text.size());
+  }
+
+  /// Every complete line the server wrote. Call once the server returned:
+  /// it closes the write end to read up to EOF.
+  std::vector<std::string> lines() {
+    closeFd(out[1]);
+    support::net::LineReader reader(out[0]);
+    std::vector<std::string> result;
+    while (const auto line = reader.next())
+      if (line->complete) result.push_back(line->text);
+    return result;
+  }
+};
+
 struct Fixture {
   std::unique_ptr<ExplorationDaemon> daemon;
   std::unique_ptr<SocketServer> server;
@@ -83,6 +122,15 @@ struct Fixture {
     daemon = std::make_unique<ExplorationDaemon>(std::move(daemonOptions));
     server = std::make_unique<SocketServer>(*daemon, std::move(socketOptions));
     ASSERT_TRUE(server->start()) << server->lastError();
+  }
+
+  /// No listener: the pipes are the server's one, attached connection.
+  void attach(Pipes& pipes, SocketServerOptions socketOptions = {}) {
+    DaemonOptions daemonOptions;
+    daemonOptions.workers = 1;
+    daemon = std::make_unique<ExplorationDaemon>(std::move(daemonOptions));
+    server = std::make_unique<SocketServer>(*daemon, std::move(socketOptions));
+    server->attach(pipes.in[0], pipes.out[1]);
   }
 
   ~Fixture() {
@@ -322,14 +370,7 @@ TEST(SocketServer, ShutdownDrainsAndDeliversSummaryToRequester) {
   dopts.workers = 1;
   f.start({}, std::move(dopts));
 
-  // The tool's serve loop, in miniature.
-  std::thread orchestrator([&] {
-    f.server->waitForShutdownRequest();
-    f.server->drain();
-    f.daemon->shutdown();
-    f.server->close(wire::shutdownSummaryLine(f.daemon->stats(),
-                                              f.daemon->service().cacheStats()));
-  });
+  std::thread orchestrator([&] { f.server->serveUntilShutdown(); });
 
   const int fd = support::net::connectTcp("127.0.0.1", f.server->port());
   ASSERT_GE(fd, 0);
@@ -356,6 +397,65 @@ TEST(SocketServer, ShutdownDrainsAndDeliversSummaryToRequester) {
   EXPECT_NE(lines[1].find("\"frontier\""), std::string::npos);
   EXPECT_NE(lines[2].find("\"shutdown\""), std::string::npos);
   EXPECT_NE(lines[2].find("\"cancelled\""), std::string::npos);
+}
+
+TEST(SocketServer, AttachedStreamEofShutsDownAfterAnsweringEverything) {
+  Pipes pipes;
+  Fixture f;
+  f.attach(pipes);
+  std::string input;
+  for (const auto* q : kQueries) input += std::string(q) + "\n";
+  input += kQueries[0];  // a final line without '\n' is never executed
+  ASSERT_TRUE(pipes.send(input));
+  Pipes::closeFd(pipes.in[1]);
+  f.server->serveUntilShutdown();
+
+  const auto lines = pipes.lines();
+  ASSERT_EQ(lines.size(), std::size(kQueries) + 1);
+  std::vector<std::string> answers, expected;
+  for (std::size_t i = 0; i < std::size(kQueries); ++i)
+    answers.push_back(canonical(lines[i]));
+  for (const auto& line : referenceLines(16)) expected.push_back(canonical(line));
+  std::sort(answers.begin(), answers.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(answers, expected);
+  EXPECT_NE(lines.back().find("\"shutdown\""), std::string::npos);
+  EXPECT_EQ(f.server->stats().truncatedLines, 1u);
+  EXPECT_EQ(f.server->stats().requests, std::size(kQueries));
+}
+
+TEST(SocketServer, AttachedStreamShutdownLineNeedsNoEof) {
+  Pipes pipes;  // in[1] stays open throughout
+  Fixture f;
+  f.attach(pipes);
+  ASSERT_TRUE(pipes.send("{\"shutdown\": true}\n"));
+  f.server->serveUntilShutdown();
+  const auto lines = pipes.lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"shutdown\""), std::string::npos);
+}
+
+TEST(SocketServer, AttachedStreamClosedOutputDropsAndShutsDown) {
+  std::signal(SIGPIPE, SIG_IGN);  // writes to a closed pipe fail with EPIPE
+  Pipes pipes;  // in[1] stays open throughout
+  Fixture f;
+  f.attach(pipes);
+  Pipes::closeFd(pipes.out[0]);
+  ASSERT_TRUE(pipes.send(std::string(kQueries[0]) + "\n"));
+  f.server->serveUntilShutdown();  // the failed answer ends the serve
+  EXPECT_EQ(f.server->stats().dropped, 1u);
+}
+
+TEST(SocketServer, AttachedStreamOversizedLineDropsAndShutsDown) {
+  Pipes pipes;  // in[1] stays open throughout
+  Fixture f;
+  SocketServerOptions sopts;
+  sopts.maxLineBytes = 64;
+  f.attach(pipes, std::move(sopts));
+  ASSERT_TRUE(pipes.send(std::string(1024, 'x') + "\n"));
+  f.server->serveUntilShutdown();
+  EXPECT_EQ(f.server->stats().dropped, 1u);
+  EXPECT_EQ(f.server->stats().requests, 0u);
 }
 
 TEST(SocketServer, MalformedLineGetsStructuredErrorAndConnectionSurvives) {

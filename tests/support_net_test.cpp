@@ -1,6 +1,7 @@
 // Tests for the raw-fd networking helpers (support/net.*): line framing
-// across arbitrary read boundaries, partial-final-line surfacing, and
-// EINTR/short-write-safe sends on both sockets and pipes.
+// across arbitrary read boundaries, partial-final-line surfacing, waking a
+// read blocked on a pipe, EINTR/short-write-safe sends on both sockets and
+// pipes, and endpoint checks at flag-parse time.
 #include "support/net.hpp"
 
 #include <gtest/gtest.h>
@@ -10,8 +11,11 @@
 #include <cstring>
 #include <thread>
 
+#include "support/error.hpp"
+
 extern "C" {
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 }
 
@@ -86,6 +90,26 @@ TEST(LineReader, EmptyLinesAreCompleteLines) {
   close(fds[0]);
 }
 
+TEST(LineReader, ClosedWakePipeEndsABlockedRead) {
+  int data[2], wake[2];
+  ASSERT_EQ(pipe(data), 0);
+  ASSERT_EQ(pipe(wake), 0);
+  // data[1] stays open, so without the wake pipe the second read blocks.
+  ASSERT_TRUE(sendAll(data[1], "a\nb", 3));
+  LineReader reader(data[0], wake[0]);
+  auto line = reader.next();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->text, "a");
+  close(wake[1]);
+  // Woken: the stream reads as EOF, so the buffered tail is a partial line.
+  line = reader.next();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->text, "b");
+  EXPECT_FALSE(line->complete);
+  EXPECT_FALSE(reader.next().has_value());
+  for (const int fd : {data[0], data[1], wake[0]}) close(fd);
+}
+
 TEST(SendAll, ReportsClosedPeerInsteadOfKillingTheProcess) {
   std::signal(SIGPIPE, SIG_IGN);
   int fds[2];
@@ -109,6 +133,24 @@ TEST(Listeners, EphemeralTcpPortIsReportedBack) {
   EXPECT_GE(client, 0);
   if (client >= 0) close(client);
   close(fd);
+}
+
+TEST(Endpoints, MalformedOnesFailAtParseTime) {
+  EXPECT_EQ(checkEndpoint("--bind", "127.0.0.1", EndpointKind::TcpHost),
+            "127.0.0.1");
+  EXPECT_THROW(checkEndpoint("--bind", "notanip", EndpointKind::TcpHost),
+               Error);
+  EXPECT_THROW(checkEndpoint("--connect", "localhost", EndpointKind::TcpHost),
+               Error);
+  // sun_path must also hold the terminating NUL.
+  const std::string longest(sizeof(sockaddr_un{}.sun_path) - 1, 'p');
+  EXPECT_EQ(checkEndpoint("--unix-socket", longest, EndpointKind::UnixPath),
+            longest);
+  EXPECT_THROW(
+      checkEndpoint("--unix-socket", longest + "p", EndpointKind::UnixPath),
+      Error);
+  EXPECT_THROW(checkEndpoint("--unix-socket", "", EndpointKind::UnixPath),
+               Error);
 }
 
 }  // namespace

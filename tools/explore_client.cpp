@@ -30,6 +30,7 @@
 #include "driver/explore_client.hpp"
 #include "driver/wire.hpp"
 #include "support/error.hpp"
+#include "support/net.hpp"
 
 namespace {
 
@@ -51,6 +52,7 @@ int usage() {
 int main(int argc, char** argv) {
   using tensorlib::driver::ClientOptions;
   using tensorlib::driver::ExploreClient;
+  using tensorlib::support::net::EndpointKind;
   namespace wire = tensorlib::driver::wire;
 
   std::string serverBinary;
@@ -72,7 +74,9 @@ int main(int argc, char** argv) {
       else if (a == "--port")
         options.port = static_cast<int>(
             wire::parseIntFlag("--port", next(), wire::kPortRange));
-      else if (a == "--unix-socket") options.unixSocketPath = next();
+      else if (a == "--unix-socket")
+        options.unixSocketPath = tensorlib::support::net::checkEndpoint(
+            "--unix-socket", next(), EndpointKind::UnixPath);
       else if (a == "--connect") connect = next();
       else if (a == "--file") file = next();
       else if (a == "--cache-stats") cacheStats = true;
@@ -86,7 +90,8 @@ int main(int argc, char** argv) {
     if (!connect.empty()) {
       const auto colon = connect.rfind(':');
       if (colon == std::string::npos || !serverBinary.empty()) return usage();
-      options.host = connect.substr(0, colon);
+      options.host = tensorlib::support::net::checkEndpoint(
+          "--connect", connect.substr(0, colon), EndpointKind::TcpHost);
       options.port = static_cast<int>(wire::parseIntFlag(
           "--connect", connect.substr(colon + 1), {1, 65535}));
     }

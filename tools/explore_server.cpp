@@ -34,26 +34,26 @@
 //
 // --serve mode wraps an ExplorationDaemon instead: requests are admitted
 // into a bounded, per-client-fair queue (or rejected with
-// {"error": "overloaded"}), carry optional "deadline_ms"/"client" fields,
-// and responses stream back in COMPLETION order keyed by "query". The
-// daemon snapshots its warm caches on a timer and on graceful shutdown
-// ({"shutdown": true} or EOF) and restores them on start, so a restarted
-// server answers warm. With --port and/or --unix-socket the daemon serves
-// N concurrent socket connections instead of stdio, each connection its
-// own fairness client (driver/socket_server.*); without them it speaks
-// JSONL on stdin/stdout exactly as before. tools/chaos_runner drives both
-// front-ends through kill/restart/corrupt/disconnect cycles.
+// {"error": "overloaded"}), carry an optional "deadline_ms" field, and
+// responses stream back in COMPLETION order keyed by "query". The daemon
+// snapshots its warm caches on a timer and on graceful shutdown
+// ({"shutdown": true}, or EOF on stdin) and restores them on start, so a
+// restarted server answers warm. Every transport is a connection of one
+// driver::SocketServer, each its own fairness client: with --port and/or
+// --unix-socket it accepts N concurrent socket connections; without them
+// it serves stdin/stdout as its one attached connection.
+// tools/chaos_runner drives both through kill/restart/corrupt/disconnect
+// cycles.
 //
 // Exit codes (uniform across the CLIs): 0 success, 1 exploration/runtime
 // failure, 2 usage or request-parse errors (including any malformed or
 // out-of-range batch line, even though the batch itself still completes,
 // and any count flag that is not plain digits within its cap).
+#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,8 +64,13 @@
 #include "driver/wire.hpp"
 #include "support/error.hpp"
 #include "support/jsonl.hpp"
+#include "support/net.hpp"
 #include "tensor/workloads.hpp"
 #include "verify/model_conformance.hpp"
+
+extern "C" {
+#include <unistd.h>
+}
 
 namespace {
 
@@ -103,130 +108,32 @@ void reportRestore(const driver::ExplorationDaemon& daemon) {
                restore.message.c_str());
 }
 
-// ---- resident daemon mode, stdio front-end ----------------------------------
+// ---- resident daemon mode ---------------------------------------------------
 
-/// Thread-safe line emitter: responses come from daemon worker threads and
-/// the read loop; every line is written and flushed atomically so the
-/// JSONL stream never interleaves.
-class LineOutput {
- public:
-  void emit(const std::string& line) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::fputs(line.c_str(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  }
-
- private:
-  std::mutex mutex_;
-};
-
-int serveStdio(const driver::DaemonOptions& daemonOptions,
-               std::size_t maxFrontier) {
-  // Declared before the daemon: if an exception escapes the read loop, the
-  // daemon destructor's shutdown() still drains queued requests whose
-  // completion callbacks call out.emit() — the emitter must outlive them.
-  LineOutput out;
-  driver::ExplorationDaemon daemon(daemonOptions);
-  reportRestore(daemon);
-
-  std::string line;
-  std::size_t index = 0;
-  bool shutdownRequested = false;
-  while (!shutdownRequested && std::getline(std::cin, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    const std::size_t id = index++;
-    try {
-      auto request = driver::wire::parseRequest(support::parseJsonLine(line));
-      switch (request.kind) {
-        case driver::wire::Request::Kind::Shutdown:
-          shutdownRequested = true;
-          break;
-        case driver::wire::Request::Kind::CacheStats:
-          out.emit("{\"query\": " + std::to_string(id) + ", \"cache\": " +
-                   driver::wire::cacheStatsJson(daemon.service().cacheStats()) +
-                   "}");
-          break;
-        case driver::wire::Request::Kind::Network: {
-          // Network requests run synchronously on the read loop (they fan
-          // out through the shared service themselves) and bypass admission
-          // control; docs/PROTOCOL.md flags this.
-          driver::NetworkExplorer explorer(daemon.service());
-          out.emit(driver::wire::networkResultLine(
-              id, request.name, *request.network,
-              explorer.explore(*request.network), maxFrontier));
-          break;
-        }
-        case driver::wire::Request::Kind::ModelConformance:
-          // The stitched-model oracle owns its own ExplorationService (the
-          // verdict must not depend on this daemon's warm caches), so it
-          // runs synchronously on the read loop like network requests.
-          out.emit(driver::wire::modelConformanceResultLine(
-              id, verify::checkModel(*request.model, request.modelOptions)));
-          break;
-        case driver::wire::Request::Kind::Query: {
-          const std::string workload = request.name;
-          const std::string backend =
-              cost::backendKindName(request.query->backend);
-          const std::string objective =
-              driver::objectiveName(request.query->objective);
-          const auto admission = daemon.submit(
-              request.client, std::move(*request.query),
-              [&out, id, workload, backend, objective,
-               maxFrontier](driver::ExplorationDaemon::Outcome outcome) {
-                if (outcome.failed()) {
-                  out.emit(driver::wire::errorLine(id, outcome.error));
-                } else {
-                  out.emit(driver::wire::resultLine(id, workload, backend,
-                                                    objective, *outcome.result,
-                                                    maxFrontier));
-                }
-              });
-          if (admission != driver::Admission::Accepted)
-            out.emit(driver::wire::errorLine(id, driver::admissionName(admission)));
-          break;
-        }
-      }
-    } catch (const Error& e) {
-      out.emit(driver::wire::errorLine(id, e.what()));
-    }
-  }
-
-  // Graceful shutdown (explicit request or EOF): drain admitted work, join
-  // the workers, write the final snapshot, then report what happened.
-  daemon.shutdown();
-  out.emit(driver::wire::shutdownSummaryLine(daemon.stats(),
-                                             daemon.service().cacheStats()));
-  return 0;
-}
-
-// ---- resident daemon mode, socket front-end ---------------------------------
-
-int serveSocket(const driver::DaemonOptions& daemonOptions,
-                const driver::SocketServerOptions& socketOptions) {
+int serve(const driver::DaemonOptions& daemonOptions,
+          const driver::SocketServerOptions& socketOptions) {
+  // A stdout reader that goes away must drop the attached stream, not kill
+  // the process before its final snapshot: sendAll falls back to write()
+  // on a pipe, which raises SIGPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
   driver::ExplorationDaemon daemon(daemonOptions);
   reportRestore(daemon);
   driver::SocketServer server(daemon, socketOptions);
-  if (!server.start()) {
-    std::fprintf(stderr, "error: %s\n", server.lastError().c_str());
-    return 1;
+  if (socketOptions.port >= 0 || !socketOptions.unixSocketPath.empty()) {
+    if (!server.start()) {
+      std::fprintf(stderr, "error: %s\n", server.lastError().c_str());
+      return 1;
+    }
+    if (server.port() >= 0)
+      std::fprintf(stderr, "explore_server: listening on %s:%d\n",
+                   socketOptions.bindAddress.c_str(), server.port());
+    if (!socketOptions.unixSocketPath.empty())
+      std::fprintf(stderr, "explore_server: listening on unix socket %s\n",
+                   socketOptions.unixSocketPath.c_str());
+  } else {
+    server.attach(STDIN_FILENO, STDOUT_FILENO);
   }
-  if (server.port() >= 0)
-    std::fprintf(stderr, "explore_server: listening on %s:%d\n",
-                 socketOptions.bindAddress.c_str(), server.port());
-  if (!socketOptions.unixSocketPath.empty())
-    std::fprintf(stderr, "explore_server: listening on unix socket %s\n",
-                 socketOptions.unixSocketPath.c_str());
-
-  // Some connection sends {"shutdown": true}: stop accepting and reading,
-  // let every admitted request finish and every writer flush, take the
-  // daemon down (final snapshot), then deliver the summary line to the
-  // connection that asked.
-  server.waitForShutdownRequest();
-  server.drain();
-  daemon.shutdown();
-  server.close(driver::wire::shutdownSummaryLine(
-      daemon.stats(), daemon.service().cacheStats()));
+  server.serveUntilShutdown();
   return 0;
 }
 
@@ -274,8 +181,12 @@ int main(int argc, char** argv) {
       else if (a == "--port")
         socketOptions.port = static_cast<int>(driver::wire::parseIntFlag(
             "--port", next(), driver::wire::kPortRange));
-      else if (a == "--bind") socketOptions.bindAddress = next();
-      else if (a == "--unix-socket") socketOptions.unixSocketPath = next();
+      else if (a == "--bind")
+        socketOptions.bindAddress = support::net::checkEndpoint(
+            "--bind", next(), support::net::EndpointKind::TcpHost);
+      else if (a == "--unix-socket")
+        socketOptions.unixSocketPath = support::net::checkEndpoint(
+            "--unix-socket", next(), support::net::EndpointKind::UnixPath);
       else if (a == "--write-queue-bound")
         socketOptions.writeQueueBound = count();
       else if (a == "--send-buffer-bytes")
@@ -299,11 +210,8 @@ int main(int argc, char** argv) {
   if (serveMode) {
     daemonOptions.service.threads = threads;
     socketOptions.maxFrontier = maxFrontier;
-    const bool socketFrontend =
-        socketOptions.port >= 0 || !socketOptions.unixSocketPath.empty();
     try {
-      return socketFrontend ? serveSocket(daemonOptions, socketOptions)
-                            : serveStdio(daemonOptions, maxFrontier);
+      return serve(daemonOptions, socketOptions);
     } catch (const Error& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 1;
