@@ -2,13 +2,11 @@
 #pragma once
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "sim/perf.hpp"
 #include "stt/enumerate.hpp"
-#include "support/error.hpp"
 
 namespace tensorlib::bench {
 
@@ -54,43 +52,5 @@ inline void evalAll(const tensor::TensorAlgebra& algebra,
 
 /// The paper's evaluation array: 16x16 PEs, 320 MHz, 32 GB/s, INT16.
 inline stt::ArrayConfig paperArray() { return stt::ArrayConfig{}; }
-
-/// Merges one `"section": {...}` property into the line-oriented
-/// BENCH_hotpaths.json (each section lives on its own line). Replaces an
-/// existing line for the same section; starts a fresh document if the file
-/// is absent or malformed. `sectionLine` must be the full property, e.g.
-/// `"service": {...}` with no trailing comma.
-inline void mergeJsonSection(const std::string& path,
-                             const std::string& sectionKey,
-                             const std::string& sectionLine) {
-  const std::string match = "\"" + sectionKey + "\":";
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (in && std::getline(in, line)) {
-      const auto firstChar = line.find_first_not_of(" \t");
-      if (firstChar != std::string::npos &&
-          line.compare(firstChar, match.size(), match) == 0)
-        continue;  // replaced below
-      lines.push_back(line);
-    }
-  }
-  while (!lines.empty() && lines.back().empty()) lines.pop_back();
-  // A document without at least one property line ("{" "}") would leave the
-  // splice below appending a comma to the opening brace; reset it too.
-  if (lines.size() < 3 || lines.front() != "{" || lines.back() != "}")
-    lines = {"{", "  \"bench\": \"hotpaths\",", "}"};
-
-  // Re-terminate the final property with a comma, then splice in ours.
-  std::string& lastProp = lines[lines.size() - 2];
-  if (!lastProp.empty() && lastProp.back() == ',') lastProp.pop_back();
-  lastProp += ",";
-  lines.insert(lines.end() - 1, "  " + sectionLine);
-
-  std::ofstream out(path);
-  TL_CHECK(static_cast<bool>(out), "cannot write " + path);
-  for (const auto& l : lines) out << l << "\n";
-}
 
 }  // namespace tensorlib::bench

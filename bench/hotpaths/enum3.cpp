@@ -1,5 +1,5 @@
-// The maxEntry wall: a cold gemm-256 exploration at maxEntry = 3, gated by
-// an absolute wall-clock budget.
+// Section "enum3": the maxEntry wall — a cold gemm-256 exploration at
+// maxEntry = 3, gated by an absolute wall-clock budget.
 //
 // The design space is built once as the evaluation-class quotient
 // (stt::packDesignSpace: every canonical candidate fast-classified, one
@@ -16,37 +16,24 @@
 //   enum3   gemm-256, maxEntry=3: the gate — a cold exploration (cold
 //           service, cold candidate memo) must finish inside the committed
 //           budget.
+// Smoke mode runs diff2 on gemm-16 and times gemm-16 at maxEntry=2.
 //
 // The quotient keeps one representative per class where the stream keeps
 // every candidate, so differentials compare the frontier's unique (label,
 // cycles, power, area, utilization) value tuples, never transform strings.
-//
-// Merges an "enum3" section into BENCH_hotpaths.json.
-//
-// Usage: bench_enum3 [--smoke] [--out <path>]
-//   --smoke   maxEntry<=2 spaces, correctness asserts only, no timing gate
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <set>
 #include <sstream>
-#include <string>
 #include <tuple>
 
-#include "bench_util.hpp"
 #include "driver/explore_service.hpp"
+#include "sections.hpp"
 #include "stt/enumerate.hpp"
 #include "support/error.hpp"
 #include "tensor/workloads.hpp"
 
+namespace tensorlib::bench::hotpaths {
 namespace {
-
-using namespace tensorlib;
-using Clock = std::chrono::steady_clock;
-
-double msSince(Clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-}
 
 /// Committed budget for the gated maxEntry=3 gemm-256 exploration (cold
 /// service, cold candidate memo).
@@ -90,12 +77,13 @@ void checkSameValueSets(const driver::QueryResult& a,
   }
 }
 
-driver::QueryResult runCold(const driver::ExploreQuery& q, double* ms) {
+driver::QueryResult runCold(const driver::ExploreQuery& q,
+                            std::vector<double>* ms) {
   stt::clearCandidateCache();
   driver::ExplorationService service{driver::ServiceOptions{}};
   const auto t = Clock::now();
   driver::QueryResult r = service.run(q);
-  if (ms) *ms = msSince(t);
+  if (ms) ms->push_back(msSince(t));
   return r;
 }
 
@@ -104,66 +92,39 @@ void checkQuotientExact(std::int64_t extent, int maxEntry, const char* what) {
   checkSameValueSets(runCold(gemmQuery(extent, maxEntry, true), nullptr),
                      runCold(gemmQuery(extent, maxEntry, false), nullptr),
                      what);
-  std::printf("  %s   gemm-%lld maxEntry=%d: frontier value sets equal\n",
+  std::printf("  enum3       %s gemm-%lld maxEntry=%d: frontier value sets "
+              "equal\n",
               what, static_cast<long long>(extent), maxEntry);
 }
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  std::string out = "BENCH_hotpaths.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) out = argv[++i];
-    else {
-      std::fprintf(stderr, "usage: %s [--smoke] [--out <path>]\n", argv[0]);
-      return 2;
-    }
-  }
+Section runEnum3(const RunConfig& run) {
+  const std::int64_t extent = run.smoke ? 16 : 256;
+  const int maxEntry = run.smoke ? 2 : 3;
+  checkQuotientExact(extent, 2, "diff2");
+  if (!run.smoke) checkQuotientExact(8, 3, "diff3");
 
-  try {
-    bench::printHeader(smoke ? "maxEntry=3 exploration (smoke)"
-                             : "maxEntry=3 exploration");
-
-    // diff2 — gemm-16 in smoke mode keeps CI fast; gemm-256 in full mode.
-    checkQuotientExact(smoke ? 16 : 256, 2, "diff2");
-
-    if (smoke) {
-      std::ostringstream line;
-      line << "\"enum3\": {\"mode\": \"smoke\", \"section\": \"enum3\", "
-           << "\"pass\": true}";
-      bench::mergeJsonSection(out, "enum3", line.str());
-      std::printf("  merged into %s\n", out.c_str());
-      return 0;
-    }
-
-    checkQuotientExact(8, 3, "diff3");
-
-    // enum3 — the gated timing.
-    double ms = 0;
-    const driver::QueryResult r = runCold(gemmQuery(256, 3, true), &ms);
+  std::vector<double> ms;
+  driver::QueryResult r;
+  for (int rep = 0; rep < run.reps; ++rep) {
+    r = runCold(gemmQuery(extent, maxEntry, true), &ms);
     TL_CHECK(!r.timedOut && r.best.has_value(), "enum3: no winner");
-    std::printf("  enum3   gemm-256 maxEntry=3: %.1f ms (%zu designs, %llu "
-                "pruned)\n",
-                ms, r.designs, static_cast<unsigned long long>(r.cache.pruned));
-
-    const bool pass = ms <= kGateMaxE3Ms;
-    std::ostringstream line;
-    line << "\"enum3\": {\"workload\": \"gemm256\", \"max_entry\": 3"
-         << ", \"ms\": " << ms << ", \"designs\": " << r.designs
-         << ", \"pruned\": " << r.cache.pruned
-         << ", \"gate_max_ms\": " << kGateMaxE3Ms
-         << ", \"pass\": " << (pass ? "true" : "false") << "}";
-    bench::mergeJsonSection(out, "enum3", line.str());
-    std::printf("  merged into %s\n", out.c_str());
-
-    if (!pass)
-      std::printf("  GATE FAIL: maxEntry=3 %.1f ms > %.1f ms\n", ms,
-                  kGateMaxE3Ms);
-    return pass ? 0 : 1;
-  } catch (const tensorlib::Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
   }
+  const double medianMs = median(ms);
+  std::printf("  enum3       gemm-%lld maxEntry=%d: %.1f ms (%zu designs, %llu "
+              "pruned)\n",
+              static_cast<long long>(extent), maxEntry, medianMs, r.designs,
+              static_cast<unsigned long long>(r.cache.pruned));
+
+  const bool pass = run.smoke || medianMs <= kGateMaxE3Ms;
+  std::ostringstream line;
+  line << "\"enum3\": {\"workload\": \"gemm" << extent
+       << "\", \"max_entry\": " << maxEntry << ", \"ms\": " << medianMs
+       << ", \"designs\": " << r.designs << ", \"pruned\": " << r.cache.pruned
+       << ", \"gate_max_ms\": " << kGateMaxE3Ms
+       << ", \"pass\": " << (pass ? "true" : "false") << "}";
+  return {line.str(), pass};
 }
+
+}  // namespace tensorlib::bench::hotpaths

@@ -1,7 +1,7 @@
 // The shared 10-query overlapping exploration scenario behind the "service"
 // (batched-vs-naive) and "daemon" (restored-vs-cold) sections of
 // BENCH_hotpaths.json — one definition so the gates can never drift onto
-// different traffic. Also the result comparator the benches use to assert
+// different traffic. Also the result comparator both sections use to assert
 // bit-identical frontiers.
 #pragma once
 

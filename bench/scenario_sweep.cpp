@@ -6,7 +6,7 @@
 //   name  selections  specs  best-label  best-util  cycles  enum+sim ms
 //
 // A quick pulse on how each newly added scenario stresses the enumerator
-// and the performance model; not gated (see bench_perf_regression for the
+// and the performance model; not gated (see bench_hotpaths for the
 // gated hot-path harness).
 #include <chrono>
 #include <cstdio>

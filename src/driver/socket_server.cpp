@@ -147,10 +147,15 @@ struct SocketServer::Impl {
   // ---- per-connection reader ----------------------------------------------
 
   void readerLoop(const std::shared_ptr<Connection>& conn) {
-    support::net::LineReader reader(conn->readFd, conn->wakeFds[0]);
+    support::net::LineReader reader(conn->readFd, conn->wakeFds[0],
+                                    options.maxLineBytes);
     bool drop = false;
     while (!stopping.load() && conn->alive.load()) {
       const auto line = reader.next();
+      if (line && line->tooLong) {
+        drop = true;
+        break;
+      }
       if (!line || !line->complete) {
         if (line) {
           // The peer died (or was dropped) mid-line. A truncated request
@@ -165,10 +170,6 @@ struct SocketServer::Impl {
         } else {
           drop = true;
         }
-        break;
-      }
-      if (line->text.size() > options.maxLineBytes) {
-        drop = true;
         break;
       }
       if (line->text.find_first_not_of(" \t\r") == std::string::npos) continue;

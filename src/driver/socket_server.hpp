@@ -58,6 +58,7 @@ struct SocketServerOptions {
   std::size_t writeQueueBound = 1024;
   /// Longest accepted request line; a line beyond this drops the
   /// connection (a line protocol's only defense against an unframed peer).
+  /// Checked as bytes arrive, so a line that never ends is dropped too.
   std::size_t maxLineBytes = 1u << 20;
   /// When > 0, SO_SNDBUF for accepted connections (tests use a tiny buffer
   /// to exercise the slow-reader path deterministically).

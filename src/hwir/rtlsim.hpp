@@ -12,7 +12,7 @@
 //    loop with no Node indirection and no per-node branching on op+kind.
 //  - Legacy: the original walk-the-Node-graph interpreter, kept for
 //    differential testing (tests/hwir_rtlsim_diff_test.cpp) and as the perf
-//    baseline in bench/perf_regression.cpp.
+//    baseline in bench/hotpaths/rtl.cpp.
 // Both engines latch registers in step() from a register list precomputed in
 // the constructor instead of rescanning the whole netlist every cycle.
 #pragma once

@@ -28,7 +28,7 @@ struct SimOptions {
   /// Memoize tile traces by shape through sim::TileTraceCache instead of
   /// rebuilding one per tile per outer iteration (traces are congruent
   /// across origins). Results are identical; off = the original rebuild
-  /// path, kept as the perf baseline in bench/perf_regression.cpp.
+  /// path, kept as the perf baseline in bench/hotpaths/tile_trace.cpp.
   bool reuseTraces = true;
 };
 

@@ -156,12 +156,22 @@ bool sendAll(int fd, const char* data, std::size_t size) {
 
 std::optional<Line> LineReader::next() {
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned_);
+    const std::size_t length =
+        newline != std::string::npos ? newline : buffer_.size();
+    if (length > maxLineBytes_) {
+      buffer_.clear();
+      scanned_ = 0;
+      eof_ = true;
+      return Line{"", false, true};
+    }
     if (newline != std::string::npos) {
       Line line{buffer_.substr(0, newline), true};
       buffer_.erase(0, newline + 1);
+      scanned_ = 0;
       return line;
     }
+    scanned_ = buffer_.size();
     if (eof_) {
       if (buffer_.empty()) return std::nullopt;
       Line line{std::move(buffer_), false};

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -54,10 +55,13 @@ int listenUnix(const std::string& path, int backlog);
 bool sendAll(int fd, const char* data, std::size_t size);
 
 /// One decoded line from a LineReader. `complete` is false iff EOF (or a
-/// hard read error) cut the line off before its '\n'.
+/// hard read error) cut the line off before its '\n', or the line was too
+/// long. `tooLong` is true iff the line exceeded the reader's cap; its text
+/// is dropped and the stream reads as ended after it.
 struct Line {
   std::string text;
   bool complete = true;
+  bool tooLong = false;
 };
 
 /// Buffered '\n'-framed reader over a raw fd. Handles EINTR, short reads,
@@ -67,17 +71,25 @@ class LineReader {
   /// `wakeFd`, when >= 0, is polled beside `fd`: once it is readable or
   /// hung up (its pipe's write end closed), the stream reads as EOF. That
   /// wakes a read blocked on a pipe, which shutdown(2) cannot.
-  explicit LineReader(int fd, int wakeFd = -1) : fd_(fd), wakeFd_(wakeFd) {}
+  /// `maxLineBytes` caps a line (without its '\n'). It is enforced while
+  /// the line is still arriving, so an unframed peer cannot grow the
+  /// buffer past the cap plus one read.
+  explicit LineReader(int fd, int wakeFd = -1,
+                      std::size_t maxLineBytes = SIZE_MAX)
+      : fd_(fd), wakeFd_(wakeFd), maxLineBytes_(maxLineBytes) {}
 
   /// Next line (without its '\n'). nullopt on clean EOF or on an error
   /// with nothing buffered; a trailing unterminated line comes back once
-  /// with complete = false before the nullopt.
+  /// with complete = false before the nullopt, and a line over the cap
+  /// comes back once with tooLong = true before the nullopt.
   std::optional<Line> next();
 
  private:
   int fd_;
   int wakeFd_;
+  std::size_t maxLineBytes_;
   std::string buffer_;
+  std::size_t scanned_ = 0;  ///< leading buffer bytes known to hold no '\n'
   bool eof_ = false;
 };
 

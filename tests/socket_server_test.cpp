@@ -349,19 +349,23 @@ TEST(SocketServer, TruncatedRequestIsNeverExecuted) {
 }
 
 TEST(SocketServer, OversizedLineDropsTheConnection) {
-  Fixture f;
-  SocketServerOptions sopts;
-  sopts.maxLineBytes = 64;
-  f.start(std::move(sopts));
-  const int fd = support::net::connectTcp("127.0.0.1", f.server->port());
-  ASSERT_GE(fd, 0);
+  // Terminated, and unterminated with the write end kept open: the cap
+  // holds while a line is still arriving, not only once it ends.
   const std::string line(1024, 'x');
-  support::net::sendAll(fd, line.data(), line.size());
-  support::net::sendAll(fd, "\n", 1);
-  ASSERT_TRUE(f.waitForStats(
-      [](const SocketServerStats& s) { return s.dropped >= 1; }));
-  EXPECT_EQ(f.server->stats().requests, 0u);
-  close(fd);
+  for (const std::string& payload : {line + "\n", line}) {
+    Fixture f;
+    SocketServerOptions sopts;
+    sopts.maxLineBytes = 64;
+    f.start(std::move(sopts));
+    const int fd = support::net::connectTcp("127.0.0.1", f.server->port());
+    ASSERT_GE(fd, 0);
+    support::net::sendAll(fd, payload.data(), payload.size());
+    ASSERT_TRUE(f.waitForStats(
+        [](const SocketServerStats& s) { return s.dropped >= 1; }));
+    EXPECT_EQ(f.server->stats().dropped, 1u);
+    EXPECT_EQ(f.server->stats().requests, 0u);
+    close(fd);
+  }
 }
 
 TEST(SocketServer, ShutdownDrainsAndDeliversSummaryToRequester) {
@@ -447,15 +451,19 @@ TEST(SocketServer, AttachedStreamClosedOutputDropsAndShutsDown) {
 }
 
 TEST(SocketServer, AttachedStreamOversizedLineDropsAndShutsDown) {
-  Pipes pipes;  // in[1] stays open throughout
-  Fixture f;
-  SocketServerOptions sopts;
-  sopts.maxLineBytes = 64;
-  f.attach(pipes, std::move(sopts));
-  ASSERT_TRUE(pipes.send(std::string(1024, 'x') + "\n"));
-  f.server->serveUntilShutdown();
-  EXPECT_EQ(f.server->stats().dropped, 1u);
-  EXPECT_EQ(f.server->stats().requests, 0u);
+  // Terminated and unterminated, as for a socket connection.
+  const std::string line(1024, 'x');
+  for (const std::string& payload : {line + "\n", line}) {
+    Pipes pipes;  // in[1] stays open throughout
+    Fixture f;
+    SocketServerOptions sopts;
+    sopts.maxLineBytes = 64;
+    f.attach(pipes, std::move(sopts));
+    ASSERT_TRUE(pipes.send(payload));
+    f.server->serveUntilShutdown();
+    EXPECT_EQ(f.server->stats().dropped, 1u);
+    EXPECT_EQ(f.server->stats().requests, 0u);
+  }
 }
 
 TEST(SocketServer, MalformedLineGetsStructuredErrorAndConnectionSurvives) {

@@ -1,6 +1,6 @@
 // Tests for the raw-fd networking helpers (support/net.*): line framing
-// across arbitrary read boundaries, partial-final-line surfacing, waking a
-// read blocked on a pipe, EINTR/short-write-safe sends on both sockets and
+// across arbitrary read boundaries, partial-final-line surfacing, the line
+// cap on a line that never ends, waking a read blocked on a pipe, EINTR/short-write-safe sends on both sockets and
 // pipes, and endpoint checks at flag-parse time.
 #include "support/net.hpp"
 
@@ -108,6 +108,29 @@ TEST(LineReader, ClosedWakePipeEndsABlockedRead) {
   EXPECT_FALSE(line->complete);
   EXPECT_FALSE(reader.next().has_value());
   for (const int fd : {data[0], data[1], wake[0]}) close(fd);
+}
+
+TEST(LineReader, CapsLinesWhileTheyAreStillArriving) {
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  // fds[1] stays open: the over-long tail must be reported without waiting
+  // for a '\n' that never comes.
+  const std::string atCap(8, 'a'), overCap(9, 'b');
+  const std::string data = atCap + "\n" + overCap;
+  ASSERT_TRUE(sendAll(fds[1], data.data(), data.size()));
+  LineReader reader(fds[0], -1, 8);
+  auto line = reader.next();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(line->text, atCap);
+  EXPECT_TRUE(line->complete);
+  EXPECT_FALSE(line->tooLong);
+  line = reader.next();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_TRUE(line->tooLong);
+  EXPECT_FALSE(line->complete);
+  EXPECT_FALSE(reader.next().has_value());
+  close(fds[0]);
+  close(fds[1]);
 }
 
 TEST(SendAll, ReportsClosedPeerInsteadOfKillingTheProcess) {
